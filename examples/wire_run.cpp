@@ -10,6 +10,10 @@
 //            dag::write_workflow (--dag).
 // Policies:  wire | wire-oracle | full-site | pure-reactive |
 //            reactive-conserving | static-<N>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,6 +50,28 @@ using namespace wire;
       "[--summary FILE] [--mape FILE]\n",
       argv0);
   std::exit(2);
+}
+
+/// A numeric flag value: the whole text must parse, and the value must be
+/// finite (NaN or infinity would slip past the range checks below and
+/// reach the engine's contracts). Anything else is a usage error.
+double parse_number(const char* text, const char* argv0) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value)) usage(argv0);
+  return value;
+}
+
+/// A non-negative integer flag value no larger than `max`, all digits (so
+/// "nan", "inf", signs and trailing junk are usage errors too).
+std::uint64_t parse_count(const char* text, std::uint64_t max,
+                          const char* argv0) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) usage(argv0);
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || value > max) usage(argv0);
+  return value;
 }
 
 std::optional<workload::WorkflowProfile> named_profile(
@@ -98,6 +124,7 @@ std::unique_ptr<sim::ScalingPolicy> named_policy(const std::string& name) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr std::uint64_t kMaxCount = UINT32_MAX;
   std::string workflow_name = "tpch1-s";
   std::string dag_file;
   std::string dax_file;
@@ -120,12 +147,12 @@ int main(int argc, char** argv) {
     else if (arg == "--dag") dag_file = next();
     else if (arg == "--dax") dax_file = next();
     else if (arg == "--policy") policy_name = next();
-    else if (arg == "--unit") unit = std::atof(next());
-    else if (arg == "--lag") lag = std::atof(next());
-    else if (arg == "--slots") slots = static_cast<std::uint32_t>(std::atoi(next()));
-    else if (arg == "--max-instances") max_instances = static_cast<std::uint32_t>(std::atoi(next()));
-    else if (arg == "--seed") seed = static_cast<std::uint64_t>(std::atoll(next()));
-    else if (arg == "--reps") reps = static_cast<std::uint32_t>(std::atoi(next()));
+    else if (arg == "--unit") unit = parse_number(next(), argv[0]);
+    else if (arg == "--lag") lag = parse_number(next(), argv[0]);
+    else if (arg == "--slots") slots = static_cast<std::uint32_t>(parse_count(next(), kMaxCount, argv[0]));
+    else if (arg == "--max-instances") max_instances = static_cast<std::uint32_t>(parse_count(next(), kMaxCount, argv[0]));
+    else if (arg == "--seed") seed = parse_count(next(), UINT64_MAX, argv[0]);
+    else if (arg == "--reps") reps = static_cast<std::uint32_t>(parse_count(next(), kMaxCount, argv[0]));
     else if (arg == "--gantt") gantt_path = next();
     else if (arg == "--timeline") timeline_path = next();
     else if (arg == "--summary") summary_path = next();
@@ -186,7 +213,7 @@ int main(int argc, char** argv) {
         mape_csv = std::make_unique<util::CsvWriter>(mape_path);
         mape_csv->write_row({"time", "upcoming_tasks",
                              "upcoming_load_seconds", "planned_pool", "grow",
-                             "releases"});
+                             "releases", "analyze_path", "plan_stamped"});
         wire_policy->set_trace_listener(
             [&mape_csv](const core::MapeTrace& t) {
               mape_csv->write_row({util::fmt(t.now, 1),
@@ -194,7 +221,9 @@ int main(int argc, char** argv) {
                                    util::fmt(t.upcoming_load_seconds, 1),
                                    std::to_string(t.planned_pool),
                                    std::to_string(t.grow),
-                                   std::to_string(t.releases)});
+                                   std::to_string(t.releases),
+                                   core::analyze_path_label(t.analyze_path),
+                                   t.plan_stamped ? "1" : "0"});
             });
       } else {
         std::fprintf(stderr,

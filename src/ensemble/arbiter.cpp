@@ -25,17 +25,55 @@ std::vector<ArbiterStrategy> all_strategies() {
 
 namespace {
 
-/// Tenant indices in FIFO order: by arrival time, then job id.
+/// Tenant indices in FIFO order: by arrival time, then job id. Rows usually
+/// come already in that order (the ensemble driver keeps them so), which an
+/// O(n) check detects; a strictly increasing sequence is the unique sorted
+/// order, so returning the identity then is exact.
 std::vector<std::size_t> fifo_order(const std::vector<TenantDemand>& tenants) {
-  std::vector<std::size_t> order(tenants.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+  const auto before = [&](std::size_t a, std::size_t b) {
     if (tenants[a].arrival_seconds != tenants[b].arrival_seconds) {
       return tenants[a].arrival_seconds < tenants[b].arrival_seconds;
     }
     return tenants[a].job < tenants[b].job;
-  });
+  };
+  std::vector<std::size_t> order(tenants.size());
+  std::iota(order.begin(), order.end(), 0);
+  const auto unordered = [&](std::size_t a, std::size_t b) {
+    return !before(a, b);
+  };
+  if (std::adjacent_find(order.begin(), order.end(), unordered) !=
+      order.end()) {
+    std::sort(order.begin(), order.end(), before);
+  }
   return order;
+}
+
+/// Gives one more unit to each of the `k` candidates with the largest
+/// remainders, ties going to the earlier FIFO rank — the first k candidates
+/// of a stable sort of the FIFO order by descending remainder — without
+/// sorting all the rows: a selection over the candidates suffices, since
+/// every chosen one gets the same single unit. Fewer than k candidates all
+/// get one. Returns the number of units handed out.
+std::uint32_t grant_largest_remainders(
+    std::vector<std::size_t>& candidates,
+    const std::vector<std::uint64_t>& remainder,
+    const std::vector<std::size_t>& order, std::uint32_t k,
+    std::vector<std::uint32_t>& target) {
+  const std::size_t take = std::min<std::size_t>(k, candidates.size());
+  if (take < candidates.size()) {
+    std::vector<std::size_t> rank(order.size());
+    for (std::size_t p = 0; p < order.size(); ++p) rank[order[p]] = p;
+    std::nth_element(candidates.begin(),
+                     candidates.begin() + static_cast<std::ptrdiff_t>(take),
+                     candidates.end(), [&](std::size_t a, std::size_t b) {
+                       if (remainder[a] != remainder[b]) {
+                         return remainder[a] > remainder[b];
+                       }
+                       return rank[a] < rank[b];
+                     });
+  }
+  for (std::size_t c = 0; c < take; ++c) ++target[candidates[c]];
+  return static_cast<std::uint32_t>(take);
 }
 
 void fifo_exclusive(std::uint32_t spare,
@@ -82,63 +120,6 @@ void static_fair_share(std::uint32_t site_cap, std::uint32_t spare,
   }
 }
 
-void demand_weighted(std::uint32_t site_cap, double instance_mem_mb,
-                     std::uint32_t spare,
-                     const std::vector<TenantDemand>& tenants,
-                     const std::vector<std::size_t>& order,
-                     std::vector<std::uint32_t>& shares) {
-  // Unmet demand: how far each tenant's requested pool sits above its floor.
-  // With a per-instance memory capacity configured, a tenant's projected
-  // footprint lifts its bid to the instance count needed to hold it.
-  std::vector<std::uint32_t> extra(tenants.size(), 0);
-  std::uint64_t total_extra = 0;
-  for (std::size_t i = 0; i < tenants.size(); ++i) {
-    std::uint32_t requested = tenants[i].requested_pool;
-    if (instance_mem_mb > 0.0 && tenants[i].requested_mem_mb > 0.0) {
-      const double needed =
-          std::ceil(tenants[i].requested_mem_mb / instance_mem_mb);
-      if (needed > static_cast<double>(requested)) {
-        requested = needed >= static_cast<double>(site_cap)
-                        ? site_cap
-                        : static_cast<std::uint32_t>(needed);
-      }
-    }
-    const std::uint32_t want = std::max(tenants[i].live_instances,
-                                        std::min(requested, site_cap));
-    extra[i] = want - tenants[i].live_instances;
-    total_extra += extra[i];
-  }
-  if (total_extra <= spare) {
-    // Every demand fits; undemanded capacity stays unallocated until a
-    // tenant asks for it at a later reallocation.
-    for (std::size_t i = 0; i < shares.size(); ++i) shares[i] += extra[i];
-    return;
-  }
-  // Largest-remainder proportional split of the spare over unmet demand —
-  // exact integer arithmetic, so reallocation is deterministic.
-  std::vector<std::uint64_t> remainder(tenants.size(), 0);
-  std::uint32_t granted = 0;
-  for (std::size_t i = 0; i < tenants.size(); ++i) {
-    const std::uint64_t num =
-        static_cast<std::uint64_t>(spare) * static_cast<std::uint64_t>(extra[i]);
-    const std::uint32_t grant = static_cast<std::uint32_t>(num / total_extra);
-    remainder[i] = num % total_extra;
-    shares[i] += grant;
-    granted += grant;
-  }
-  std::vector<std::size_t> by_remainder = order;
-  std::stable_sort(by_remainder.begin(), by_remainder.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return remainder[a] > remainder[b];
-                   });
-  for (std::size_t i : by_remainder) {
-    if (granted == spare) break;
-    if (remainder[i] == 0) continue;
-    ++shares[i];
-    ++granted;
-  }
-}
-
 /// The tenant's effective requested pool: the controller's ask, lifted by
 /// the memory footprint when a per-instance capacity is configured, clamped
 /// to the site. Shared by the demand- and budget-weighted strategies so the
@@ -156,6 +137,46 @@ std::uint32_t effective_requested(const TenantDemand& tenant,
     }
   }
   return std::min(requested, site_cap);
+}
+
+void demand_weighted(std::uint32_t site_cap, double instance_mem_mb,
+                     std::uint32_t spare,
+                     const std::vector<TenantDemand>& tenants,
+                     const std::vector<std::size_t>& order,
+                     std::vector<std::uint32_t>& shares) {
+  // Unmet demand: how far each tenant's requested pool sits above its floor.
+  std::vector<std::uint32_t> extra(tenants.size(), 0);
+  std::uint64_t total_extra = 0;
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    const std::uint32_t want =
+        std::max(tenants[i].live_instances,
+                 effective_requested(tenants[i], site_cap, instance_mem_mb));
+    extra[i] = want - tenants[i].live_instances;
+    total_extra += extra[i];
+  }
+  if (total_extra <= spare) {
+    // Every demand fits; undemanded capacity stays unallocated until a
+    // tenant asks for it at a later reallocation.
+    for (std::size_t i = 0; i < shares.size(); ++i) shares[i] += extra[i];
+    return;
+  }
+  // Largest-remainder proportional split of the spare over unmet demand —
+  // exact integer arithmetic, so reallocation is deterministic.
+  std::vector<std::uint64_t> remainder(tenants.size(), 0);
+  std::vector<std::size_t> candidates;
+  std::uint32_t granted = 0;
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    if (extra[i] == 0) continue;  // no grant, no remainder
+    const std::uint64_t num =
+        static_cast<std::uint64_t>(spare) * static_cast<std::uint64_t>(extra[i]);
+    const std::uint32_t grant = static_cast<std::uint32_t>(num / total_extra);
+    remainder[i] = num % total_extra;
+    shares[i] += grant;
+    granted += grant;
+    if (remainder[i] != 0) candidates.push_back(i);
+  }
+  grant_largest_remainders(candidates, remainder, order, spare - granted,
+                           shares);
 }
 
 void budget_weighted(std::uint32_t site_cap, double instance_mem_mb,
@@ -231,6 +252,7 @@ void budget_weighted(std::uint32_t site_cap, double instance_mem_mb,
   // re-offered round-robin in FIFO order to solvent tenants still short.
   std::vector<std::uint64_t> remainder(tenants.size(), 0);
   std::vector<std::uint32_t> grant(tenants.size(), 0);
+  std::vector<std::size_t> candidates;
   std::uint32_t granted = 0;
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     const std::uint64_t num = static_cast<std::uint64_t>(spare) * bid[i];
@@ -238,18 +260,12 @@ void budget_weighted(std::uint32_t site_cap, double instance_mem_mb,
         std::min<std::uint64_t>(num / total_bid, extra[i]));
     remainder[i] = num % total_bid;
     granted += grant[i];
+    if (remainder[i] != 0 && weight[i] != 0 && grant[i] < extra[i]) {
+      candidates.push_back(i);
+    }
   }
-  std::vector<std::size_t> by_remainder = order;
-  std::stable_sort(by_remainder.begin(), by_remainder.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return remainder[a] > remainder[b];
-                   });
-  for (std::size_t i : by_remainder) {
-    if (granted == spare) break;
-    if (remainder[i] == 0 || weight[i] == 0 || grant[i] >= extra[i]) continue;
-    ++grant[i];
-    ++granted;
-  }
+  granted += grant_largest_remainders(candidates, remainder, order,
+                                      spare - granted, grant);
   bool moved = true;
   while (granted < spare && moved) {
     moved = false;

@@ -15,10 +15,9 @@ namespace wire::ensemble {
 
 namespace {
 constexpr sim::SimTime kNever = std::numeric_limits<sim::SimTime>::infinity();
-/// Below this many open tenants the two-phase demand gather runs serially:
-/// the rows are O(1) each, so fan-out only pays off on wide sites. Purely a
-/// scheduling choice — the rows land in the same canonical slots either way.
-constexpr std::size_t kParallelDemandThreshold = 128;
+/// Installed-grant placeholder of a tenant that has none yet (no real grant
+/// has a negative bandwidth).
+constexpr CheckpointGrant kNoGrant{-1.0, 0.0, 0.0, 0.0};
 }  // namespace
 
 std::uint32_t tenant_shard(std::uint64_t shard_seed, std::uint32_t shards,
@@ -43,6 +42,8 @@ struct EnsembleDriver::Tenant {
   sim::SimTime admitted_at = -1.0;
   sim::SimTime completed_at = -1.0;
   sim::RunResult result;
+  /// Listed in stepped_ (row refill due at the next rebalance).
+  bool stepped = false;
 
   Tenant(JobArrival a, dag::Workflow wf) : arrival(a), workflow(std::move(wf)) {}
 
@@ -99,26 +100,65 @@ EnsembleDriver::EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
   // engines must not additionally clip against a site-wide max_instances
   // they believe they own exclusively.
   cloud_.max_instances = 0;
-  shard_members_.resize(std::max(1u, options_.shards));
 }
 
 void EnsembleDriver::admit(Tenant& tenant, sim::SimTime now) {
   tenant.state = Tenant::State::Active;
   tenant.admitted_at = now;
   tenant.engine->start();
+  // The sequential reference loop scans engines directly; only the windowed
+  // loop reads the keyed heaps.
+  if (options_.shards > 0) key(tenant);
 }
 
 void EnsembleDriver::retire(Tenant& tenant, sim::SimTime now) {
+  events_.erase(tenant.index);
+  demands_.erase(tenant.index);
+  retirements_.erase(tenant.index);
   tenant.state = Tenant::State::Done;
   tenant.completed_at = now;
   tenant.result = tenant.engine->result();
   busy_slot_seconds_ += tenant.result.busy_slot_seconds;
   allocated_instance_seconds_ += tenant.result.ready_instance_seconds;
-  const auto drop = [&tenant](std::vector<Tenant*>& v) {
-    v.erase(std::find(v.begin(), v.end(), &tenant));
-  };
-  drop(open_);
-  drop(shard_members_[tenant.shard]);
+  const std::size_t row = row_of(tenant);
+  open_.erase(open_.begin() + row);
+  rows_.erase(rows_.begin() + row);
+  caps_.erase(caps_.begin() + row);
+  if (!grants_.empty()) grants_.erase(grants_.begin() + row);
+  rows_changed_ = true;
+}
+
+/// (Re)keys a started tenant from its engine: next event and next
+/// demand-relevant event while it runs, its retirement once it is done.
+void EnsembleDriver::key(Tenant& tenant) {
+  if (tenant.engine->done()) {
+    events_.erase(tenant.index);
+    demands_.erase(tenant.index);
+    retirements_.set(tenant.index,
+                     tenant.admitted_at + tenant.engine->end_time());
+    return;
+  }
+  const sim::SimTime next = tenant.next_event_site_time();
+  events_.set(tenant.index, next);
+  // With the checkpoint channel on, every event is demand-relevant: local
+  // events read the channel grant (writes run at the granted bandwidth,
+  // fires wait for the granted window), and any event that completes a job
+  // frees channel share for everyone else. So no tenant may run ahead.
+  demands_.set(tenant.index, cloud_.checkpoint.enabled()
+                                 ? next
+                                 : tenant.next_demand_site_time());
+}
+
+void EnsembleDriver::mark_stepped(Tenant& tenant) {
+  if (tenant.stepped) return;
+  tenant.stepped = true;
+  stepped_.push_back(&tenant);
+}
+
+std::size_t EnsembleDriver::row_of(const Tenant& tenant) const {
+  const auto it = std::lower_bound(open_.begin(), open_.end(), tenant.index);
+  WIRE_CHECK(it != open_.end() && *it == tenant.index, "tenant is not open");
+  return static_cast<std::size_t>(it - open_.begin());
 }
 
 void EnsembleDriver::admit_arrival(const JobArrival& a) {
@@ -134,85 +174,109 @@ void EnsembleDriver::admit_arrival(const JobArrival& a) {
   run_options.max_sim_seconds = options_.max_sim_seconds;
   tenant->engine = std::make_unique<sim::JobEngine>(
       tenant->workflow, *tenant->policy, cloud_, run_options);
-  open_.push_back(tenant.get());
-  shard_members_[tenant->shard].push_back(tenant.get());
+  open_.push_back(tenant->index);
+  rows_.emplace_back();
+  fill_row(*tenant, rows_.back());
+  rows_changed_ = true;
+  caps_.push_back(tenant->engine->instance_cap());
+  if (cloud_.checkpoint.enabled()) grants_.push_back(kNoGrant);
   tenants_.push_back(std::move(tenant));
 }
 
-void EnsembleDriver::gather_demands(std::vector<TenantDemand>& demands) const {
-  demands.resize(open_.size());
-  const auto fill = [this, &demands](std::size_t i) {
-    const Tenant& t = *open_[i];
-    TenantDemand& d = demands[i];
-    d.job = t.arrival.job;
-    d.arrival_seconds = t.arrival.arrival_seconds;
-    if (t.state == Tenant::State::Active) {
-      d.live_instances = t.engine->live_instances();
-      d.requested_pool = t.engine->requested_pool();
-      d.requested_mem_mb =
-          options_.memory_aware_demand ? t.engine->requested_mem_mb() : 0.0;
-      d.checkpoint_mb = cloud_.checkpoint.enabled()
-                            ? t.engine->checkpoint_demand_mb()
-                            : 0.0;
-      // Until the tenant's first control tick the engine still carries the
-      // -1 "not reported" sentinel; a driver-level budget fills the gap so
-      // a freshly admitted tenant bids with its full allowance instead of
-      // the unbudgeted default weight.
-      d.remaining_budget_units = t.engine->remaining_budget_units();
-      if (d.remaining_budget_units < 0.0 && options_.budget_units > 0.0) {
-        d.remaining_budget_units = options_.budget_units;
-      }
-    } else {
-      d.live_instances = 0;
-      d.requested_pool = options_.initial_instances;
-      d.requested_mem_mb = 0.0;
-      d.checkpoint_mb = 0.0;
-      d.remaining_budget_units =
-          options_.budget_units > 0.0 ? options_.budget_units : -1.0;
+bool EnsembleDriver::fill_row(const Tenant& t, TenantDemand& row) const {
+  TenantDemand d;
+  d.job = t.arrival.job;
+  d.arrival_seconds = t.arrival.arrival_seconds;
+  if (t.state == Tenant::State::Active) {
+    d.live_instances = t.engine->live_instances();
+    d.requested_pool = t.engine->requested_pool();
+    d.requested_mem_mb =
+        options_.memory_aware_demand ? t.engine->requested_mem_mb() : 0.0;
+    d.checkpoint_mb =
+        cloud_.checkpoint.enabled() ? t.engine->checkpoint_demand_mb() : 0.0;
+    // Until the tenant's first control tick the engine still carries the -1
+    // "not reported" sentinel; a driver-level budget fills the gap so a
+    // freshly admitted tenant bids with its full allowance instead of the
+    // unbudgeted default weight.
+    d.remaining_budget_units = t.engine->remaining_budget_units();
+    if (d.remaining_budget_units < 0.0 && options_.budget_units > 0.0) {
+      d.remaining_budget_units = options_.budget_units;
     }
-  };
-  if (pool_ && open_.size() >= kParallelDemandThreshold) {
-    // Phase one of the two-phase arbitration: shards fill contiguous slices
-    // of the canonical arrival-order row vector concurrently. Placement is
-    // by canonical index, so the serial merge below sees rows independent of
-    // which worker produced them.
-    const std::size_t shards = shard_members_.size();
-    const std::size_t chunk = (open_.size() + shards - 1) / shards;
-    pool_->run_batch(shards, [&](std::size_t s) {
-      const std::size_t begin = s * chunk;
-      const std::size_t end = std::min(open_.size(), begin + chunk);
-      for (std::size_t i = begin; i < end; ++i) fill(i);
-    });
   } else {
-    for (std::size_t i = 0; i < open_.size(); ++i) fill(i);
+    d.live_instances = 0;
+    d.requested_pool = options_.initial_instances;
+    d.requested_mem_mb = 0.0;
+    d.checkpoint_mb = 0.0;
+    d.remaining_budget_units =
+        options_.budget_units > 0.0 ? options_.budget_units : -1.0;
+  }
+  const bool changed = !(d == row);
+  row = d;
+  return changed;
+}
+
+void EnsembleDriver::rebalance(sim::SimTime now, bool refill_all) {
+  // Demand rows over every arrived-but-unfinished tenant, in arrival order.
+  // A row only goes stale when its tenant steps (admission refills it in
+  // place), so the windowed loop refills just those rows; the sequential
+  // reference loop rebuilds them all.
+  for (Tenant* t : stepped_) {
+    t->stepped = false;
+    if (t->state != Tenant::State::Done && fill_row(*t, rows_[row_of(*t)])) {
+      rows_changed_ = true;
+    }
+  }
+  stepped_.clear();
+  if (open_.empty()) return;
+  if (refill_all) {
+    for (std::size_t i = 0; i < open_.size(); ++i) {
+      fill_row(*tenants_[open_[i]], rows_[i]);
+    }
+    rows_changed_ = true;
+  }
+
+  // Allocation is a pure function of the rows, so with no row changed since
+  // the last rebalance every share, grant and listener field but the time
+  // would come out the same.
+  if (rows_changed_) {
+    rows_changed_ = false;
+    allocate_and_install(now);
+  }
+  if (site_listener_) {
+    sample_.now = now;
+    site_listener_(sample_);
   }
 }
 
-void EnsembleDriver::rebalance(sim::SimTime now) {
-  // Phase one: demand rows over every arrived-but-unfinished tenant, in
-  // arrival order (open_ is appended at arrival and erased at retirement, so
-  // its order is FIFO).
-  if (open_.empty()) return;
-  std::vector<TenantDemand> demands;
-  gather_demands(demands);
-
-  // Phase two: the serial merge — one allocation pass over the canonical
-  // rows, then cap installation and admissions in the same canonical order.
+void EnsembleDriver::allocate_and_install(sim::SimTime now) {
+  // One allocation pass over the rows, then caps and admissions in the same
+  // canonical order — installed only where a tenant's share moved, since an
+  // unchanged cap is a no-op for its engine.
   ArbiterConfig config;
   config.site_cap = options_.site_cap;
   if (options_.memory_aware_demand) {
     config.instance_mem_mb = cloud_.memory.instance_mem_mb;
   }
   const std::vector<std::uint32_t> shares =
-      allocate_shares(options_.strategy, config, demands);
+      allocate_shares(options_.strategy, config, rows_);
+  for (std::size_t i = 0; i < open_.size(); ++i) {
+    if (shares[i] == caps_[i]) continue;
+    caps_[i] = shares[i];
+    Tenant& t = *tenants_[open_[i]];
+    t.engine->set_instance_cap(shares[i]);
+    // A waiting tenant holds cap 0 (or the engine default before its first
+    // rebalance), so its admission always coincides with a cap change.
+    if (t.state == Tenant::State::Waiting && shares[i] >= 1) {
+      admit(t, now);
+      rows_changed_ |= fill_row(t, rows_[i]);
+    }
+  }
 
-  // Checkpoint-channel arbitration rides the same serial merge. Grants are
-  // installed on every rebalance; the engine treats an unchanged bandwidth
-  // as a strict no-op, so only genuine changes (latched checkpoint demand
-  // moved at a control tick) perturb a tenant's event stream — which keeps
-  // the sequential and windowed loops byte-identical even though the
-  // sequential loop rebalances at more points.
-  std::vector<CheckpointGrant> ckpt_grants;
+  // Checkpoint-channel arbitration rides the same pass. The engine treats an
+  // unchanged bandwidth as a strict no-op and a window install as a plain
+  // assignment, so skipping unchanged grants is exact; only genuine changes
+  // (latched checkpoint demand moved at a control tick) perturb a tenant's
+  // event stream, and those tenants are re-keyed.
   if (cloud_.checkpoint.enabled()) {
     ArbiterConfig ckpt_config = config;
     ckpt_config.checkpoint_bandwidth_mb_per_s =
@@ -222,46 +286,40 @@ void EnsembleDriver::rebalance(sim::SimTime now) {
         options_.checkpoint_stagger_period_seconds > 0.0
             ? options_.checkpoint_stagger_period_seconds
             : cloud_.lag_seconds;
-    ckpt_grants = allocate_checkpoint_windows(ckpt_config, demands);
-  }
-
-  std::uint32_t live_total = 0;
-  // Admissions mutate open_ only by state flips (no reordering), but iterate
-  // by index to stay robust.
-  for (std::size_t i = 0; i < open_.size(); ++i) {
-    Tenant& t = *open_[i];
-    t.engine->set_instance_cap(shares[i]);
-    if (t.state == Tenant::State::Waiting && shares[i] >= 1) {
-      admit(t, now);
-    }
-    if (!ckpt_grants.empty() && t.state == Tenant::State::Active) {
+    const std::vector<CheckpointGrant> grants =
+        allocate_checkpoint_windows(ckpt_config, rows_);
+    for (std::size_t i = 0; i < open_.size(); ++i) {
+      if (grants[i] == grants_[i]) continue;
+      Tenant& t = *tenants_[open_[i]];
+      if (t.state != Tenant::State::Active) continue;
+      grants_[i] = grants[i];
       // Window offsets are site-anchored; the engine clock starts at
       // admission, so translate by -admitted_at.
-      const CheckpointGrant& g = ckpt_grants[i];
+      const CheckpointGrant& g = grants[i];
       t.engine->set_checkpoint_channel(g.bandwidth_mb_per_s,
                                        now - t.admitted_at);
       t.engine->set_checkpoint_window(
           g.window_offset_seconds - t.admitted_at, g.window_length_seconds,
           g.window_period_seconds);
+      if (options_.shards > 0) key(t);
     }
-    live_total += t.engine->started() ? t.engine->live_instances() : 0;
   }
+
+  std::uint32_t live_total = 0;
+  for (const TenantDemand& d : rows_) live_total += d.live_instances;
   WIRE_CHECK(live_total <= options_.site_cap,
              "tenants exceed the shared site cap");
 
   if (site_listener_) {
-    SiteSample sample;
-    sample.now = now;
-    sample.site_cap = options_.site_cap;
-    sample.live_total = live_total;
-    for (std::size_t i = 0; i < open_.size(); ++i) {
-      sample.jobs.push_back(open_[i]->arrival.job);
-      sample.live.push_back(open_[i]->engine->started()
-                                ? open_[i]->engine->live_instances()
-                                : 0);
-      sample.shares.push_back(shares[i]);
+    sample_.site_cap = options_.site_cap;
+    sample_.live_total = live_total;
+    sample_.jobs.resize(rows_.size());
+    sample_.live.resize(rows_.size());
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      sample_.jobs[i] = rows_[i].job;
+      sample_.live[i] = rows_[i].live_instances;
     }
-    site_listener_(sample);
+    sample_.shares = shares;
   }
 }
 
@@ -322,18 +380,20 @@ void EnsembleDriver::run_sequential_loop() {
     }
     // Rebalance after every event: demands move on control ticks, floors
     // move on boots/releases, and retirements free whole shares.
-    rebalance(now);
+    rebalance(now, /*refill_all=*/true);
   }
 }
 
 void EnsembleDriver::run_windowed_loop() {
   std::size_t next_arrival = 0;
   const std::vector<JobArrival>& stream = arrivals_.jobs();
-  const std::size_t shards = shard_members_.size();
+  const std::uint32_t shards = options_.shards;
   if (shards > 1) {
     pool_ = std::make_unique<util::ThreadPool>(options_.threads);
   }
   const sim::SimTime max = options_.max_sim_seconds;
+  std::vector<Tenant*> due;
+  std::vector<std::vector<Tenant*>> due_by_shard(shards);
 
   for (;;) {
     const sim::SimTime arrival_time = next_arrival < stream.size()
@@ -343,62 +403,62 @@ void EnsembleDriver::run_windowed_loop() {
     // Horizon: the earliest pending event that can change any tenant's
     // demand state or read its cap. Everything strictly below it is local to
     // one engine and commutes across tenants.
-    sim::SimTime horizon = arrival_time;
-    bool advance_pending = false;
-    for (const Tenant* t : open_) {
-      if (t->state != Tenant::State::Active || t->engine->done()) continue;
-      horizon = std::min(horizon, t->next_demand_site_time());
-    }
-    for (const Tenant* t : open_) {
-      if (t->state != Tenant::State::Active || t->engine->done()) continue;
-      const sim::SimTime when = t->next_event_site_time();
-      if (when < horizon && when <= max) {
-        advance_pending = true;
-        break;
-      }
-    }
+    const sim::SimTime horizon =
+        demands_.empty() ? arrival_time
+                         : std::min(arrival_time, demands_.top().first);
 
-    if (advance_pending) {
-      // Parallel phase: every shard advances its engines through their local
-      // events strictly below the horizon. Local handlers never touch caps
-      // or demand, so this is byte-equivalent to processing the same events
-      // interleaved in global time order.
-      const auto advance_shard = [&](std::size_t s) {
-        for (Tenant* t : shard_members_[s]) {
-          if (t->state != Tenant::State::Active) continue;
-          sim::JobEngine& engine = *t->engine;
-          while (!engine.done()) {
-            const sim::SimTime when = t->next_event_site_time();
-            if (when >= horizon || when > max) break;
-            engine.step();
-          }
-          WIRE_CHECK(engine.done() || t->next_demand_site_time() >= horizon,
-                     "local advance crossed a demand-relevant event");
+    // Advance phase: every tenant whose next event lies strictly below the
+    // horizon steps through its local events up to it. Local handlers never
+    // touch caps or demand, so this is byte-equivalent to processing the same
+    // events interleaved in global time order.
+    due.clear();
+    while (!events_.empty()) {
+      const KeyedHeap::Key top = events_.top();
+      if (top.first >= horizon || top.first > max) break;
+      events_.erase(top.second);
+      due.push_back(tenants_[top.second].get());
+    }
+    if (!due.empty()) {
+      const auto advance = [horizon, max](Tenant& t) {
+        sim::JobEngine& engine = *t.engine;
+        while (!engine.done()) {
+          const sim::SimTime when = t.next_event_site_time();
+          if (when >= horizon || when > max) break;
+          engine.step();
         }
+        WIRE_CHECK(engine.done() || t.next_demand_site_time() >= horizon,
+                   "local advance crossed a demand-relevant event");
       };
       if (pool_) {
-        pool_->run_batch(shards, advance_shard);
+        for (std::vector<Tenant*>& bucket : due_by_shard) bucket.clear();
+        for (Tenant* t : due) due_by_shard[t->shard].push_back(t);
+        pool_->run_batch(shards, [&](std::size_t s) {
+          for (Tenant* t : due_by_shard[s]) advance(*t);
+        });
       } else {
-        advance_shard(0);
+        for (Tenant* t : due) advance(*t);
+      }
+      for (Tenant* t : due) {
+        key(*t);
+        mark_stepped(*t);
       }
     }
 
     // Serial phase: exactly one site action — the earliest among the next
-    // arrival, pending retirements (engines that completed during the
-    // parallel phase, at their completion times), and tracked tenant events
-    // (all >= horizon now). Ties: arrivals first, then lowest tenant index —
-    // the same total order the sequential reference scan induces.
+    // arrival, pending retirements (engines that completed during an
+    // advance, at their completion times), and tenant events (all >= horizon
+    // now). Ties: arrivals first, then lowest tenant index — the same total
+    // order the sequential reference scan induces, because the heaps order
+    // by (time, index).
     Tenant* next_tenant = nullptr;
     sim::SimTime tenant_time = kNever;
-    for (Tenant* t : open_) {
-      if (t->state != Tenant::State::Active) continue;
-      const sim::SimTime when = t->engine->done()
-                                    ? t->admitted_at + t->engine->end_time()
-                                    : t->next_event_site_time();
-      if (when < tenant_time) {
-        tenant_time = when;
-        next_tenant = t;
-      }
+    if (!events_.empty() || !retirements_.empty()) {
+      const KeyedHeap::Key top =
+          retirements_.empty() ? events_.top()
+          : events_.empty()    ? retirements_.top()
+                               : std::min(events_.top(), retirements_.top());
+      tenant_time = top.first;
+      next_tenant = tenants_[top.second].get();
     }
     if (arrival_time == kNever && next_tenant == nullptr) break;
 
@@ -416,9 +476,12 @@ void EnsembleDriver::run_windowed_loop() {
       next_tenant->engine->step();
       if (next_tenant->engine->done()) {
         retire(*next_tenant, now);
+      } else {
+        key(*next_tenant);
+        mark_stepped(*next_tenant);
       }
     }
-    rebalance(now);
+    rebalance(now, /*refill_all=*/false);
   }
 
   pool_.reset();
@@ -440,7 +503,7 @@ EnsembleReport EnsembleDriver::assemble_report() {
   // in its tenant's slot, so assembly below is order-independent.
   std::vector<double> dedicated(tenants_.size(), 0.0);
   if (options_.dedicated_baseline) {
-    const std::size_t shards = shard_members_.size();
+    const std::uint32_t shards = options_.shards;
     if (parallel_safe_factory_ && shards > 1) {
       util::ThreadPool pool(options_.threads);
       pool.run_batch(shards, [&](std::size_t s) {

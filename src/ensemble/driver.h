@@ -20,26 +20,37 @@
 // a tenant's share at its live instance count, so 0 can only reach a tenant
 // that currently holds no instances.
 //
-// Execution model (sharded windowed stepping): tenants are partitioned
-// across `EnsembleOptions::shards` shards by a fixed seeded map
-// (tenant_shard); the driver repeatedly computes a horizon H = the earliest
-// pending *demand-relevant* site event (next arrival, or any tenant's next
-// ControlTick / InstanceDrain / InstanceCrash / fault-mode InstanceReady —
-// see JobEngine::next_demand_event_time), advances every shard's engines
-// through their purely local events strictly below H in parallel on a
-// util::ThreadPool, then serially processes exactly one site event (arrival,
-// tracked tenant event, or retirement) and rebalances shares. Local events
-// never read the instance cap and never move the demand signal, so the
-// parallel phase commutes with the serial one and the result is
-// byte-identical to the fully sequential reference for any shard and worker
-// count (EnsembleOptions::shards == 0 keeps that reference loop;
-// tests/test_ensemble_sharded.cpp proves the equivalence differentially).
+// Execution model (keyed windowed stepping): the driver keeps three indexed
+// min-heaps of (site time, tenant index) keys (KeyedHeap) — each active tenant's next event,
+// its next *demand-relevant* event (ControlTick / InstanceDrain /
+// InstanceCrash / fault-mode InstanceReady, see
+// JobEngine::next_demand_event_time), and, for tenants whose engine finished,
+// the pending retirement at admitted_at + end_time(). A tenant's keys move
+// only when the tenant does: after it steps, at admission, at retirement,
+// and after a checkpoint grant is installed on it. Each iteration takes the
+// horizon H = min(next arrival, top of the demand set), pops the tenants
+// whose next event lies strictly below H and steps each one up to H (local
+// events never read the instance cap and never move the demand signal, so
+// the order across tenants does not matter), then serially processes exactly
+// one site event: the next arrival if it is due, else the smaller of the
+// event-heap and retirement-heap tops. The (time, index) key reproduces the
+// sequential scan's tie-break (arrivals first, then lowest tenant index), so
+// the result is byte-identical to the fully sequential reference loop
+// (EnsembleOptions::shards == 0; tests/test_ensemble_sharded.cpp proves the
+// equivalence differentially). With shards >= 2 the same loop hands the due
+// tenants, grouped by their seeded shard (tenant_shard), to a
+// util::ThreadPool; with one shard it steps them inline. With the site's
+// checkpoint channel on, every event counts as demand-relevant (local events
+// read the channel grant, and any event can complete a job and free channel
+// share), so no tenant runs ahead and the loop steps one event at a time.
 //
-// Arbitration is two-phase under sharding: per-tenant demand rows are
-// gathered in parallel into canonical arrival-order slots, then one serial
-// merge runs allocate_shares over the canonically ordered rows — so the
-// allocation arithmetic and its (arrival, job id) tie-breaks never depend on
-// shard or thread count.
+// Arbitration keeps one TenantDemand row per open tenant, in arrival order,
+// across serial events. A rebalance refills only the rows of tenants that
+// stepped or were admitted since the previous one, runs one allocate_shares
+// pass over all rows (none when no row changed: the allocation is a pure
+// function of the rows), and installs a cap (or a checkpoint grant) only
+// where it changed — so the allocation arithmetic and its (arrival, job id)
+// tie-breaks never depend on shard or thread count.
 //
 // Policy-state sharing: tenant policies plan() only at serial points (control
 // ticks), so even a PolicyFactory that shares one core::PlanScratch across
@@ -51,7 +62,8 @@
 //
 // Site listener cadence: the windowed engine emits SiteSamples at serial
 // events only (arrivals, demand-relevant tenant events, retirements) — the
-// points where shares can actually move. The shards == 0 reference loop
+// points where shares can actually move; with the checkpoint channel on
+// that is every event. The shards == 0 reference loop
 // keeps the historical after-every-event cadence. Share values and the
 // capacity invariant are identical at the shared points.
 #pragma once
@@ -63,6 +75,7 @@
 
 #include "ensemble/arbiter.h"
 #include "ensemble/arrival.h"
+#include "ensemble/keyed_heap.h"
 #include "ensemble/report.h"
 #include "sim/config.h"
 #include "sim/scaling_policy.h"
@@ -106,8 +119,8 @@ struct EnsembleOptions {
   bool dedicated_baseline = true;
   /// Tenant shards for the windowed parallel engine. 0 = the legacy fully
   /// sequential reference loop; 1 = windowed engine, single shard (no
-  /// threads spawned); >= 2 = parallel shard advance + two-phase
-  /// arbitration. The EnsembleReport is byte-identical across all values.
+  /// threads spawned); >= 2 = due tenants advance in parallel, grouped by
+  /// shard. The EnsembleReport is byte-identical across all values.
   std::uint32_t shards = 1;
   /// Worker threads backing the shard pool (0 = hardware concurrency).
   /// Never affects results, only wall-clock.
@@ -193,8 +206,15 @@ class EnsembleDriver {
 
   void admit(Tenant& tenant, sim::SimTime now);
   void retire(Tenant& tenant, sim::SimTime now);
-  void rebalance(sim::SimTime now);
-  void gather_demands(std::vector<TenantDemand>& demands) const;
+  void key(Tenant& tenant);
+  void mark_stepped(Tenant& tenant);
+  std::size_t row_of(const Tenant& tenant) const;
+  /// Refills `row` from the tenant's engine; true when it changed.
+  bool fill_row(const Tenant& tenant, TenantDemand& row) const;
+  /// Refills stale rows (every row with `refill_all`), re-runs the
+  /// allocation if any row changed, and notifies the site listener.
+  void rebalance(sim::SimTime now, bool refill_all);
+  void allocate_and_install(sim::SimTime now);
   void admit_arrival(const JobArrival& a);
   void run_sequential_loop();
   void run_windowed_loop();
@@ -211,11 +231,27 @@ class EnsembleDriver {
   EnsembleOptions options_;
   std::function<void(const SiteSample&)> site_listener_;
   std::vector<std::unique_ptr<Tenant>> tenants_;
-  /// Arrived, not yet retired tenants in arrival order (the serial scan
-  /// set), and the per-shard partition of the same set (the parallel
-  /// advance set). Maintained at arrival admission/retirement.
-  std::vector<Tenant*> open_;
-  std::vector<std::vector<Tenant*>> shard_members_;
+  /// Indices of the arrived, not yet retired tenants, ascending (== arrival
+  /// order), and parallel to it the arbiter's demand rows, the caps last
+  /// installed, and the checkpoint grants last installed (empty unless the
+  /// site's checkpoint channel is on). Appended at arrival, erased at
+  /// retirement.
+  std::vector<std::size_t> open_;
+  std::vector<TenantDemand> rows_;
+  std::vector<std::uint32_t> caps_;
+  std::vector<CheckpointGrant> grants_;
+  /// Tenants stepped since the last rebalance (their rows are stale), and
+  /// whether any row changed since the last allocation.
+  std::vector<Tenant*> stepped_;
+  bool rows_changed_ = false;
+  /// Windowed loop only, keyed by tenant index: next event and next
+  /// demand-relevant event of every active unfinished tenant, and pending
+  /// retirements.
+  KeyedHeap events_;
+  KeyedHeap demands_;
+  KeyedHeap retirements_;
+  /// Reused listener payload.
+  SiteSample sample_;
   /// Worker pool for the windowed engine; null unless shards >= 2.
   std::unique_ptr<util::ThreadPool> pool_;
   double busy_slot_seconds_ = 0.0;

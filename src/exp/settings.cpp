@@ -114,16 +114,6 @@ std::function<std::unique_ptr<sim::ScalingPolicy>()> budget_policy_factory(
   };
 }
 
-std::function<std::unique_ptr<sim::ScalingPolicy>(std::uint32_t)>
-sharded_budget_policy_factory(PolicyKind kind,
-                              const policies::BudgetOptions& budget,
-                              const core::WireOptions& wire_options) {
-  auto inner = sharded_policy_factory(kind, wire_options);
-  return [inner, budget](std::uint32_t shard) {
-    return std::make_unique<policies::BudgetPolicy>(inner(shard), budget);
-  };
-}
-
 std::uint32_t initial_instances(PolicyKind kind,
                                 const sim::CloudConfig& config) {
   if (kind == PolicyKind::FullSite) {

@@ -77,12 +77,6 @@ std::function<std::unique_ptr<sim::ScalingPolicy>()> budget_policy_factory(
     PolicyKind kind, const policies::BudgetOptions& budget,
     const core::WireOptions& wire_options = {});
 
-/// As sharded_policy_factory, budget-wrapped the same way.
-std::function<std::unique_ptr<sim::ScalingPolicy>(std::uint32_t)>
-sharded_budget_policy_factory(PolicyKind kind,
-                              const policies::BudgetOptions& budget,
-                              const core::WireOptions& wire_options = {});
-
 /// Bootstrap pool size for a policy on a site: the full site for FullSite,
 /// one instance for the elastic policies.
 std::uint32_t initial_instances(PolicyKind kind,

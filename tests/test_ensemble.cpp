@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <set>
 #include <string>
@@ -17,6 +18,7 @@
 #include "policies/baselines.h"
 #include "sim/engine.h"
 #include "util/check.h"
+#include "util/rng.h"
 #include "workload/generators.h"
 #include "workload/profiles.h"
 
@@ -212,6 +214,232 @@ TEST(Arbiter, RejectsImpossibleInputs) {
   EXPECT_THROW(allocate_shares(ArbiterStrategy::StaticFairShare, 0, {}),
                util::ContractViolation);
   EXPECT_TRUE(allocate_shares(ArbiterStrategy::DemandWeighted, 4, {}).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Arbiter oracle: the selection-based remainder pass against the full
+// stable sort it replaced, and row-order invariance.
+
+/// The pre-selection arbiter for the two proportional strategies, kept here
+/// as the oracle: FIFO order by a full sort, and the leftover units of the
+/// largest-remainder split handed out along a stable sort of that order by
+/// descending remainder.
+std::vector<std::uint32_t> reference_shares(ArbiterStrategy strategy,
+                                            const ArbiterConfig& config,
+                                            const std::vector<TenantDemand>& t) {
+  const std::uint32_t cap = config.site_cap;
+  const std::size_t n = t.size();
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (t[a].arrival_seconds != t[b].arrival_seconds) {
+      return t[a].arrival_seconds < t[b].arrival_seconds;
+    }
+    return t[a].job < t[b].job;
+  });
+  std::vector<std::uint32_t> shares(n);
+  std::uint32_t live = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    shares[i] = t[i].live_instances;
+    live += t[i].live_instances;
+  }
+  std::uint32_t spare = cap - live;
+  std::vector<std::uint32_t> extra(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint32_t requested = t[i].requested_pool;
+    if (config.instance_mem_mb > 0.0 && t[i].requested_mem_mb > 0.0) {
+      const double needed =
+          std::ceil(t[i].requested_mem_mb / config.instance_mem_mb);
+      if (needed > static_cast<double>(requested)) {
+        requested = needed >= static_cast<double>(cap)
+                        ? cap
+                        : static_cast<std::uint32_t>(needed);
+      }
+    }
+    extra[i] = std::max(t[i].live_instances, std::min(requested, cap)) -
+               t[i].live_instances;
+  }
+  const auto by_remainder = [&](const std::vector<std::uint64_t>& rem) {
+    std::vector<std::size_t> sorted = order;
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return rem[a] > rem[b];
+                     });
+    return sorted;
+  };
+  std::vector<std::uint64_t> rem(n, 0);
+  if (strategy == ArbiterStrategy::DemandWeighted) {
+    std::uint64_t total = 0;
+    for (std::uint32_t e : extra) total += e;
+    if (total <= spare) {
+      for (std::size_t i = 0; i < n; ++i) shares[i] += extra[i];
+      return shares;
+    }
+    std::uint32_t granted = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t num = std::uint64_t{spare} * extra[i];
+      shares[i] += static_cast<std::uint32_t>(num / total);
+      granted += static_cast<std::uint32_t>(num / total);
+      rem[i] = num % total;
+    }
+    for (std::size_t i : by_remainder(rem)) {
+      if (granted == spare) break;
+      if (rem[i] == 0) continue;
+      ++shares[i];
+      ++granted;
+    }
+    return shares;
+  }
+  std::vector<std::uint64_t> weight(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double r = t[i].remaining_budget_units;
+    const double units = r < 0.0 ? 1.0 : std::min(r, 65536.0);
+    weight[i] = static_cast<std::uint64_t>(
+        std::llround(std::max(0.0, units) * 16.0));
+    if (weight[i] == 0 && units > 0.0) weight[i] = 1;
+  }
+  for (std::size_t i : order) {
+    if (spare == 0) break;
+    if (t[i].live_instances == 0 && shares[i] == 0 && extra[i] > 0) {
+      ++shares[i];
+      --extra[i];
+      --spare;
+    }
+  }
+  if (spare == 0) return shares;
+  std::vector<std::uint64_t> bid(n);
+  std::uint64_t total_bid = 0;
+  std::uint64_t weighted_extra = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    bid[i] = std::min<std::uint64_t>(std::uint64_t{extra[i]} * weight[i],
+                                     std::uint64_t{1} << 30);
+    total_bid += bid[i];
+    if (weight[i] > 0) weighted_extra += extra[i];
+  }
+  if (total_bid == 0) return shares;
+  if (weighted_extra <= spare) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (weight[i] > 0) shares[i] += extra[i];
+    }
+    return shares;
+  }
+  std::vector<std::uint32_t> grant(n);
+  std::uint32_t granted = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t num = std::uint64_t{spare} * bid[i];
+    grant[i] = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(num / total_bid, extra[i]));
+    rem[i] = num % total_bid;
+    granted += grant[i];
+  }
+  for (std::size_t i : by_remainder(rem)) {
+    if (granted == spare) break;
+    if (rem[i] == 0 || weight[i] == 0 || grant[i] >= extra[i]) continue;
+    ++grant[i];
+    ++granted;
+  }
+  bool moved = true;
+  while (granted < spare && moved) {
+    moved = false;
+    for (std::size_t i : order) {
+      if (granted == spare) break;
+      if (weight[i] > 0 && grant[i] < extra[i]) {
+        ++grant[i];
+        ++granted;
+        moved = true;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) shares[i] += grant[i];
+  return shares;
+}
+
+/// A random oversubscribed demand set in FIFO order: arrival times collide
+/// often (job ids break the ties), demands come from a few small values so
+/// remainders tie, and budgets span unreported, exhausted, sub-unit and
+/// ample.
+std::vector<TenantDemand> random_demands(util::Rng& rng, std::uint32_t cap,
+                                         bool memory) {
+  const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 40));
+  std::vector<TenantDemand> rows(n);
+  std::uint32_t live = 0;
+  double clock = 0.0;
+  const double budgets[] = {-1.0, 0.0, 0.01, 0.5, 1.0, 3.0, 100.0};
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.bernoulli(0.6)) clock += static_cast<double>(rng.uniform_int(1, 3));
+    rows[i].job = static_cast<std::uint32_t>(i);
+    rows[i].arrival_seconds = clock;
+    const auto held = static_cast<std::uint32_t>(rng.uniform_int(0, 2));
+    rows[i].live_instances = live + held <= cap / 2 ? held : 0;
+    live += rows[i].live_instances;
+    rows[i].requested_pool =
+        rows[i].live_instances +
+        static_cast<std::uint32_t>(rng.uniform_int(0, 3) * 2);
+    if (memory && rng.bernoulli(0.3)) {
+      rows[i].requested_mem_mb = 1024.0 * static_cast<double>(
+                                              rng.uniform_int(1, 12));
+    }
+    rows[i].remaining_budget_units = budgets[rng.uniform_int(0, 6)];
+  }
+  return rows;
+}
+
+TEST(ArbiterOracle, SelectionMatchesStableSortReference) {
+  // The proportional strategies hand out their leftover units by selecting
+  // the k largest remainders instead of stable-sorting every row; shares
+  // must match the sorting reference bit for bit, remainder ties included.
+  std::size_t oversubscribed = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    util::Rng rng(seed);
+    ArbiterConfig config;
+    config.site_cap = static_cast<std::uint32_t>(rng.uniform_int(4, 48));
+    const bool memory = rng.bernoulli(0.5);
+    if (memory) config.instance_mem_mb = 4096.0;
+    std::vector<TenantDemand> rows = random_demands(rng, config.site_cap,
+                                                    memory);
+    std::uint64_t wanted = 0;
+    for (const TenantDemand& d : rows) wanted += d.requested_pool;
+    if (wanted > config.site_cap) ++oversubscribed;
+    for (const ArbiterStrategy strategy :
+         {ArbiterStrategy::DemandWeighted, ArbiterStrategy::BudgetWeighted}) {
+      EXPECT_EQ(allocate_shares(strategy, config, rows),
+                reference_shares(strategy, config, rows))
+          << strategy_name(strategy);
+      // Shuffled rows exercise the sorting FIFO path on both sides.
+      std::shuffle(rows.begin(), rows.end(), rng.engine());
+      EXPECT_EQ(allocate_shares(strategy, config, rows),
+                reference_shares(strategy, config, rows))
+          << strategy_name(strategy) << " (shuffled)";
+    }
+  }
+  EXPECT_GT(oversubscribed, 300u);
+}
+
+TEST(ArbiterOracle, SharesIndependentOfRowOrder) {
+  // Allocation is a function of the tenants, not of how the rows are laid
+  // out: FIFO-sorted rows (the identity fast path) and shuffled rows (the
+  // sorting path) give every job the same share under all four strategies.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    util::Rng rng(seed * 7919);
+    ArbiterConfig config;
+    config.site_cap = static_cast<std::uint32_t>(rng.uniform_int(4, 48));
+    const std::vector<TenantDemand> sorted =
+        random_demands(rng, config.site_cap, /*memory=*/false);
+    std::vector<TenantDemand> shuffled = sorted;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng.engine());
+    for (const ArbiterStrategy strategy : all_strategies()) {
+      const std::vector<std::uint32_t> a =
+          allocate_shares(strategy, config, sorted);
+      const std::vector<std::uint32_t> b =
+          allocate_shares(strategy, config, shuffled);
+      for (std::size_t i = 0; i < shuffled.size(); ++i) {
+        EXPECT_EQ(b[i], a[shuffled[i].job])
+            << strategy_name(strategy) << " job " << shuffled[i].job;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -282,7 +282,7 @@ TEST(MemoryDemandSignal, TightProvisioningSlowdownStaysBounded) {
 
 TEST(ShardedDriver, MemoryAwareDemandMatchesAcrossShards) {
   // Memory-aware arbitration (projected-footprint bids lifted into instance
-  // counts) rides the same two-phase demand gather; the flag must not break
+  // counts) rides the same demand rows; the flag must not break
   // shard invariance. WIRE tenants report the projected footprint.
   sim::CloudConfig site = quiet_site();
   site.memory.instance_mem_mb = 4096.0;
@@ -416,7 +416,7 @@ EnsembleReport run_budget_report(const sim::CloudConfig& site,
 }
 
 TEST(BudgetArbitration, ShardInvariantAcrossBudgetTightness) {
-  // Budget-weighted arbitration rides the same two-phase gather/merge as the
+  // Budget-weighted arbitration rides the same demand rows and merge as the
   // other strategies, so sharded runs must reproduce the sequential reference
   // byte-for-byte — with budgets tight (tenants hit exhaustion and bid their
   // way down to the floor) and ample (weights saturate, never bind).
@@ -492,6 +492,164 @@ TEST(BudgetArbitration, BudgetOffKeepsBaselineBytes) {
         13);
     EXPECT_TRUE(off == reference);
     EXPECT_EQ(off.render(), reference.render());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Dense fronts: many tenants arrive, tick and retire at identical site times,
+// so the windowed loop's (site time, tenant index) keys tie constantly.
+
+/// A profile with no skew and no residual noise: every job instantiates the
+/// same DAG whatever its workflow seed, so on the quiet site tenants that
+/// start together with equal shares finish together. Task times are
+/// multiples of the control lag and transfers vanish in rounding, so jobs
+/// also complete exactly on other tenants' control ticks.
+workload::WorkflowProfile uniform_profile() {
+  workload::WorkflowProfile profile;
+  profile.name = "Uniform";
+  profile.family = "Uniform";
+  profile.framework = "Hadoop";
+  profile.exec_residual_sigma = 0.0;
+  profile.skew_class_probability = 0.0;
+  profile.mem_residual_sigma = 0.0;
+  workload::StageProfile map;
+  map.name = "map";
+  map.task_count = 8;
+  map.mean_exec_seconds = 360.0;
+  map.stage_input_mb = 1e-3;
+  map.link = workload::StageLink::Source;
+  map.mean_peak_mem_mb = 1024.0;
+  workload::StageProfile reduce = map;
+  reduce.name = "reduce";
+  reduce.task_count = 2;
+  reduce.mean_exec_seconds = 180.0;
+  reduce.link = workload::StageLink::AllToAll;
+  profile.stages = {map, reduce};
+  return profile;
+}
+
+/// Fronts of `width` jobs arriving at the same instant, `gap` seconds apart.
+ArrivalProcess front_stream(std::uint32_t fronts, std::uint32_t width,
+                            double gap) {
+  std::vector<JobArrival> trace(fronts * width);
+  for (std::uint32_t i = 0; i < trace.size(); ++i) {
+    trace[i].arrival_seconds = gap * (i / width);
+  }
+  return ArrivalProcess::fixed_trace(std::move(trace), 5);
+}
+
+/// How the dense cells use the shared checkpoint channel.
+enum class Channel { Off, Diluted, Staggered };
+
+/// The quiet site with the memory dimension on and, unless `channel` is Off,
+/// a static-interval checkpoint channel, so latched checkpoint demand moves
+/// the channel grants and grant installs re-key tenants.
+sim::CloudConfig dense_site(Channel channel) {
+  sim::CloudConfig site = quiet_site();
+  site.memory.instance_mem_mb = 4096.0;
+  if (channel == Channel::Off) return site;
+  site.checkpoint.channel_bandwidth_mb_per_s = 50.0;
+  site.checkpoint.interval_policy =
+      sim::CheckpointConfig::IntervalPolicy::Static;
+  site.checkpoint.static_interval_seconds = 60.0;
+  return site;
+}
+
+struct DenseRun {
+  EnsembleReport report;
+  std::vector<SiteSample> samples;
+};
+
+DenseRun run_dense(EnsembleOptions options, std::uint32_t shards,
+                   Channel channel) {
+  options.shards = shards;
+  options.threads = 2;
+  options.site_cap = 10;
+  options.dedicated_baseline = false;
+  options.memory_aware_demand = true;
+  options.stagger_checkpoints = channel == Channel::Staggered;
+  core::WireOptions wire;
+  wire.report_memory_demand = true;
+  policies::BudgetOptions budget;
+  budget.budget_units = options.budget_units;
+  EnsembleDriver driver({uniform_profile()}, front_stream(4, 6, 400.0),
+                        exp::budget_policy_factory(exp::PolicyKind::Wire,
+                                                   budget, wire),
+                        dense_site(channel), options);
+  DenseRun run;
+  driver.set_site_listener(
+      [&run](const SiteSample& sample) { run.samples.push_back(sample); });
+  run.report = driver.run();
+  return run;
+}
+
+bool same_sample(const SiteSample& a, const SiteSample& b) {
+  return a.now == b.now && a.site_cap == b.site_cap &&
+         a.live_total == b.live_total && a.jobs == b.jobs &&
+         a.live == b.live && a.shares == b.shares;
+}
+
+/// Whether `part` occurs in order within `whole` (the windowed loop samples
+/// at serial events only, the reference loop after every event).
+bool is_subsequence(const std::vector<SiteSample>& part,
+                    const std::vector<SiteSample>& whole) {
+  std::size_t k = 0;
+  for (const SiteSample& s : whole) {
+    if (k < part.size() && same_sample(part[k], s)) ++k;
+  }
+  return k == part.size();
+}
+
+TEST(ShardedDriver, DenseFrontsMatchReferenceAtEverySerialEvent) {
+  for (const ArbiterStrategy strategy :
+       {ArbiterStrategy::DemandWeighted, ArbiterStrategy::BudgetWeighted}) {
+    for (const Channel channel :
+         {Channel::Off, Channel::Diluted, Channel::Staggered}) {
+      SCOPED_TRACE("strategy=" + std::string(strategy_name(strategy)) +
+                   " channel=" + std::to_string(static_cast<int>(channel)));
+      EnsembleOptions options;
+      options.strategy = strategy;
+      options.budget_units =
+          strategy == ArbiterStrategy::BudgetWeighted ? 6.0 : 0.0;
+      const DenseRun reference = run_dense(options, /*shards=*/0, channel);
+
+      // The cell exercises what it claims: many events share one site time
+      // and, unless staggered windows desynchronize the channel, tenants of
+      // one front retire together.
+      std::vector<double> completions;
+      for (const JobOutcome& j : reference.report.jobs) {
+        completions.push_back(j.completed_seconds);
+      }
+      std::sort(completions.begin(), completions.end());
+      if (channel != Channel::Staggered) {
+        EXPECT_NE(std::adjacent_find(completions.begin(), completions.end()),
+                  completions.end())
+            << "no two tenants retire at the same site time";
+      }
+      std::size_t tied = 0;
+      for (std::size_t i = 1; i < reference.samples.size(); ++i) {
+        if (reference.samples[i].now == reference.samples[i - 1].now) ++tied;
+      }
+      EXPECT_GT(tied, reference.report.jobs.size());
+
+      std::vector<SiteSample> windowed;
+      for (std::uint32_t shards : {1u, 2u, 3u}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        const DenseRun run = run_dense(options, shards, channel);
+        EXPECT_TRUE(run.report == reference.report);
+        EXPECT_EQ(run.report.render(), reference.report.render());
+        if (shards == 1) {
+          windowed = run.samples;
+          EXPECT_TRUE(is_subsequence(windowed, reference.samples));
+          continue;
+        }
+        ASSERT_EQ(run.samples.size(), windowed.size());
+        for (std::size_t i = 0; i < windowed.size(); ++i) {
+          ASSERT_TRUE(same_sample(run.samples[i], windowed[i]))
+              << "serial event " << i;
+        }
+      }
+    }
   }
 }
 
