@@ -1,6 +1,7 @@
 #include "ensemble/driver.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -8,7 +9,6 @@
 #include "sim/driver.h"
 #include "sim/engine.h"
 #include "util/check.h"
-#include "util/rng.h"
 #include "workload/generators.h"
 
 namespace wire::ensemble {
@@ -20,13 +20,6 @@ constexpr sim::SimTime kNever = std::numeric_limits<sim::SimTime>::infinity();
 constexpr CheckpointGrant kNoGrant{-1.0, 0.0, 0.0, 0.0};
 }  // namespace
 
-std::uint32_t tenant_shard(std::uint64_t shard_seed, std::uint32_t shards,
-                           std::uint32_t job) {
-  if (shards <= 1) return 0;
-  return static_cast<std::uint32_t>(util::derive_seed(shard_seed, job) %
-                                    shards);
-}
-
 struct EnsembleDriver::Tenant {
   enum class State { Waiting, Active, Done };
 
@@ -37,8 +30,6 @@ struct EnsembleDriver::Tenant {
   State state = State::Waiting;
   /// Index in tenants_ (== arrival order) — the canonical tie-break.
   std::size_t index = 0;
-  /// Fixed shard this tenant is pinned to (tenant_shard of its job id).
-  std::uint32_t shard = 0;
   sim::SimTime admitted_at = -1.0;
   sim::SimTime completed_at = -1.0;
   sim::RunResult result;
@@ -66,32 +57,33 @@ EnsembleDriver::EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
                                PolicyFactory policy_factory,
                                const sim::CloudConfig& cloud,
                                const EnsembleOptions& options)
-    : EnsembleDriver(std::move(profiles), std::move(arrivals),
-                     ShardedPolicyFactory(), cloud, options) {
-  WIRE_REQUIRE(static_cast<bool>(policy_factory), "need a policy factory");
-  // Wrap the zero-arg factory; its policies may share scratch, so the
-  // dedicated baselines must not run concurrently.
-  policy_factory_ = [factory = std::move(policy_factory)](std::uint32_t) {
-    return factory();
-  };
-  parallel_safe_factory_ = false;
-}
-
-EnsembleDriver::EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
-                               ArrivalProcess arrivals,
-                               ShardedPolicyFactory sharded_policy_factory,
-                               const sim::CloudConfig& cloud,
-                               const EnsembleOptions& options)
     : profiles_(std::move(profiles)),
       arrivals_(std::move(arrivals)),
-      policy_factory_(std::move(sharded_policy_factory)),
-      parallel_safe_factory_(true),
+      policy_factory_(std::move(policy_factory)),
       cloud_(cloud),
       options_(options) {
+  WIRE_REQUIRE(static_cast<bool>(policy_factory_), "need a policy factory");
   WIRE_REQUIRE(!profiles_.empty(), "need at least one workflow profile");
   WIRE_REQUIRE(options_.site_cap >= 1, "site cap must be at least one");
   WIRE_REQUIRE(options_.initial_instances >= 1,
                "jobs bootstrap with at least one instance");
+  WIRE_REQUIRE(options_.shards <= 1,
+               "EnsembleOptions::shards must be 0 (reference loop) or 1 "
+               "(windowed loop)");
+  // NaN must fail here: every later comparison against these fields is
+  // false for NaN, so a NaN max_sim_seconds would silently disable the
+  // stuck guard of the driver and of every tenant engine.
+  WIRE_REQUIRE(std::isfinite(options_.max_sim_seconds) &&
+                   options_.max_sim_seconds > 0.0,
+               "EnsembleOptions::max_sim_seconds must be finite and positive");
+  WIRE_REQUIRE(std::isfinite(options_.budget_units) &&
+                   options_.budget_units >= 0.0,
+               "EnsembleOptions::budget_units must be finite and "
+               "non-negative");
+  WIRE_REQUIRE(std::isfinite(options_.checkpoint_stagger_period_seconds) &&
+                   options_.checkpoint_stagger_period_seconds >= 0.0,
+               "EnsembleOptions::checkpoint_stagger_period_seconds must be "
+               "finite and non-negative");
   for (const JobArrival& a : arrivals_.jobs()) {
     WIRE_REQUIRE(a.profile_index < profiles_.size(),
                  "arrival references an unknown profile");
@@ -106,9 +98,7 @@ void EnsembleDriver::admit(Tenant& tenant, sim::SimTime now) {
   tenant.state = Tenant::State::Active;
   tenant.admitted_at = now;
   tenant.engine->start();
-  // The sequential reference loop scans engines directly; only the windowed
-  // loop reads the keyed heaps.
-  if (options_.shards > 0) key(tenant);
+  key(tenant);
 }
 
 void EnsembleDriver::retire(Tenant& tenant, sim::SimTime now) {
@@ -165,9 +155,7 @@ void EnsembleDriver::admit_arrival(const JobArrival& a) {
   auto tenant = std::make_unique<Tenant>(
       a, workload::make_workflow(profiles_[a.profile_index], a.workflow_seed));
   tenant->index = tenants_.size();
-  tenant->shard = tenant_shard(options_.shard_seed,
-                               std::max(1u, options_.shards), a.job);
-  tenant->policy = policy_factory_(tenant->shard);
+  tenant->policy = policy_factory_();
   sim::RunOptions run_options;
   run_options.seed = a.run_seed;
   run_options.initial_instances = options_.initial_instances;
@@ -301,7 +289,7 @@ void EnsembleDriver::allocate_and_install(sim::SimTime now) {
       t.engine->set_checkpoint_window(
           g.window_offset_seconds - t.admitted_at, g.window_length_seconds,
           g.window_period_seconds);
-      if (options_.shards > 0) key(t);
+      key(t);
     }
   }
 
@@ -328,8 +316,7 @@ double EnsembleDriver::dedicated_makespan(const Tenant& tenant) {
   // seed, same policy kind) alone on the full site.
   sim::CloudConfig dedicated = cloud_;
   dedicated.max_instances = options_.site_cap;
-  const std::unique_ptr<sim::ScalingPolicy> policy =
-      policy_factory_(tenant.shard);
+  const std::unique_ptr<sim::ScalingPolicy> policy = policy_factory_();
   sim::RunOptions run_options;
   run_options.seed = tenant.arrival.run_seed;
   run_options.initial_instances = options_.initial_instances;
@@ -387,13 +374,7 @@ void EnsembleDriver::run_sequential_loop() {
 void EnsembleDriver::run_windowed_loop() {
   std::size_t next_arrival = 0;
   const std::vector<JobArrival>& stream = arrivals_.jobs();
-  const std::uint32_t shards = options_.shards;
-  if (shards > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(options_.threads);
-  }
   const sim::SimTime max = options_.max_sim_seconds;
-  std::vector<Tenant*> due;
-  std::vector<std::vector<Tenant*>> due_by_shard(shards);
 
   for (;;) {
     const sim::SimTime arrival_time = next_arrival < stream.size()
@@ -411,37 +392,21 @@ void EnsembleDriver::run_windowed_loop() {
     // horizon steps through its local events up to it. Local handlers never
     // touch caps or demand, so this is byte-equivalent to processing the same
     // events interleaved in global time order.
-    due.clear();
     while (!events_.empty()) {
       const KeyedHeap::Key top = events_.top();
       if (top.first >= horizon || top.first > max) break;
-      events_.erase(top.second);
-      due.push_back(tenants_[top.second].get());
-    }
-    if (!due.empty()) {
-      const auto advance = [horizon, max](Tenant& t) {
-        sim::JobEngine& engine = *t.engine;
-        while (!engine.done()) {
-          const sim::SimTime when = t.next_event_site_time();
-          if (when >= horizon || when > max) break;
-          engine.step();
-        }
-        WIRE_CHECK(engine.done() || t.next_demand_site_time() >= horizon,
-                   "local advance crossed a demand-relevant event");
-      };
-      if (pool_) {
-        for (std::vector<Tenant*>& bucket : due_by_shard) bucket.clear();
-        for (Tenant* t : due) due_by_shard[t->shard].push_back(t);
-        pool_->run_batch(shards, [&](std::size_t s) {
-          for (Tenant* t : due_by_shard[s]) advance(*t);
-        });
-      } else {
-        for (Tenant* t : due) advance(*t);
+      Tenant& t = *tenants_[top.second];
+      while (!t.engine->done()) {
+        const sim::SimTime when = t.next_event_site_time();
+        if (when >= horizon || when > max) break;
+        t.engine->step();
       }
-      for (Tenant* t : due) {
-        key(*t);
-        mark_stepped(*t);
-      }
+      WIRE_CHECK(t.engine->done() || t.next_demand_site_time() >= horizon,
+                 "local advance crossed a demand-relevant event");
+      // Re-keys t at or past the horizon (or out of the event heap), so the
+      // pop loop never sees it again this window.
+      key(t);
+      mark_stepped(t);
     }
 
     // Serial phase: exactly one site action — the earliest among the next
@@ -483,8 +448,6 @@ void EnsembleDriver::run_windowed_loop() {
     }
     rebalance(now, /*refill_all=*/false);
   }
-
-  pool_.reset();
 }
 
 EnsembleReport EnsembleDriver::assemble_report() {
@@ -495,29 +458,6 @@ EnsembleReport EnsembleDriver::assemble_report() {
   report.arbiter_strategy = strategy_name(options_.strategy);
   report.site_cap = options_.site_cap;
   report.slots_per_instance = cloud_.slots_per_instance;
-
-  // Dedicated-baseline counterfactuals are whole independent simulations, so
-  // they parallelize across shards — but only when policies were minted by a
-  // shard-aware factory (per-shard scratch); a plain factory may share
-  // scratch across all tenants and must stay sequential. Each result lands
-  // in its tenant's slot, so assembly below is order-independent.
-  std::vector<double> dedicated(tenants_.size(), 0.0);
-  if (options_.dedicated_baseline) {
-    const std::uint32_t shards = options_.shards;
-    if (parallel_safe_factory_ && shards > 1) {
-      util::ThreadPool pool(options_.threads);
-      pool.run_batch(shards, [&](std::size_t s) {
-        for (const std::unique_ptr<Tenant>& t : tenants_) {
-          if (t->shard != s) continue;
-          dedicated[t->index] = dedicated_makespan(*t);
-        }
-      });
-    } else {
-      for (const std::unique_ptr<Tenant>& t : tenants_) {
-        dedicated[t->index] = dedicated_makespan(*t);
-      }
-    }
-  }
 
   for (const std::unique_ptr<Tenant>& t : tenants_) {
     WIRE_CHECK(t->state == Tenant::State::Done, "unfinished tenant at exit");
@@ -530,7 +470,7 @@ EnsembleReport EnsembleDriver::assemble_report() {
     j.queue_wait_seconds = t->admitted_at - t->arrival.arrival_seconds;
     j.makespan_seconds = t->result.makespan;
     if (options_.dedicated_baseline) {
-      j.dedicated_makespan_seconds = dedicated[t->index];
+      j.dedicated_makespan_seconds = dedicated_makespan(*t);
       j.slowdown = (j.queue_wait_seconds + j.makespan_seconds) /
                    j.dedicated_makespan_seconds;
     }

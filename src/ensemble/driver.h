@@ -21,9 +21,9 @@
 // that currently holds no instances.
 //
 // Execution model (keyed windowed stepping): the driver keeps three indexed
-// min-heaps of (site time, tenant index) keys (KeyedHeap) — each active tenant's next event,
-// its next *demand-relevant* event (ControlTick / InstanceDrain /
-// InstanceCrash / fault-mode InstanceReady, see
+// min-heaps of (site time, tenant index) keys (KeyedHeap) — each active
+// tenant's next event, its next *demand-relevant* event (ControlTick /
+// InstanceDrain / InstanceCrash / fault-mode InstanceReady, see
 // JobEngine::next_demand_event_time), and, for tenants whose engine finished,
 // the pending retirement at admitted_at + end_time(). A tenant's keys move
 // only when the tenant does: after it steps, at admission, at retirement,
@@ -37,12 +37,11 @@
 // sequential scan's tie-break (arrivals first, then lowest tenant index), so
 // the result is byte-identical to the fully sequential reference loop
 // (EnsembleOptions::shards == 0; tests/test_ensemble_sharded.cpp proves the
-// equivalence differentially). With shards >= 2 the same loop hands the due
-// tenants, grouped by their seeded shard (tenant_shard), to a
-// util::ThreadPool; with one shard it steps them inline. With the site's
-// checkpoint channel on, every event counts as demand-relevant (local events
-// read the channel grant, and any event can complete a job and free channel
-// share), so no tenant runs ahead and the loop steps one event at a time.
+// equivalence differentially). Everything runs on the calling thread. With
+// the site's checkpoint channel on, every event counts as demand-relevant
+// (local events read the channel grant, and any event can complete a job and
+// free channel share), so no tenant runs ahead and the loop steps one event
+// at a time.
 //
 // Arbitration keeps one TenantDemand row per open tenant, in arrival order,
 // across serial events. A rebalance refills only the rows of tenants that
@@ -50,22 +49,20 @@
 // pass over all rows (none when no row changed: the allocation is a pure
 // function of the rows), and installs a cap (or a checkpoint grant) only
 // where it changed — so the allocation arithmetic and its (arrival, job id)
-// tie-breaks never depend on shard or thread count.
+// tie-breaks are the reference loop's.
 //
-// Policy-state sharing: tenant policies plan() only at serial points (control
-// ticks), so even a PolicyFactory that shares one core::PlanScratch across
-// the policies it mints is safe in the main loop. Dedicated-baseline runs DO
-// execute whole jobs concurrently, so they are only parallelized when the
-// driver was built with a shard-aware ShardedPolicyFactory
-// (exp::sharded_policy_factory mints per-shard arenas); with a plain
-// PolicyFactory the baselines fall back to sequential execution.
+// Policy-state sharing: no two tenant policies ever run at once — tenants
+// step one at a time and plan() only at control ticks — and the
+// dedicated-baseline replays run one after another once the stream drains.
+// So a PolicyFactory may share scratch (exp::policy_factory shares one
+// core::PlanScratch) across every policy it mints.
 //
-// Site listener cadence: the windowed engine emits SiteSamples at serial
-// events only (arrivals, demand-relevant tenant events, retirements) — the
-// points where shares can actually move; with the checkpoint channel on
-// that is every event. The shards == 0 reference loop
-// keeps the historical after-every-event cadence. Share values and the
-// capacity invariant are identical at the shared points.
+// Site listener cadence: the windowed loop emits SiteSamples at serial events
+// only (arrivals, demand-relevant tenant events, retirements) — the points
+// where shares can actually move; with the checkpoint channel on that is
+// every event. The shards == 0 reference loop keeps the historical
+// after-every-event cadence. Share values and the capacity invariant are
+// identical at the shared points.
 #pragma once
 
 #include <cstdint>
@@ -79,7 +76,6 @@
 #include "ensemble/report.h"
 #include "sim/config.h"
 #include "sim/scaling_policy.h"
-#include "util/thread_pool.h"
 #include "workload/profiles.h"
 
 namespace wire::ensemble {
@@ -88,21 +84,6 @@ namespace wire::ensemble {
 /// state across jobs).
 using PolicyFactory =
     std::function<std::unique_ptr<sim::ScalingPolicy>()>;
-
-/// Shard-aware policy factory: mints a fresh policy for a tenant pinned to
-/// `shard`. Policies minted for the same shard may share scratch state
-/// (exp::sharded_policy_factory shares one PlanScratch arena per shard);
-/// policies of different shards must share nothing mutable, because
-/// dedicated-baseline runs execute different shards concurrently.
-using ShardedPolicyFactory =
-    std::function<std::unique_ptr<sim::ScalingPolicy>(std::uint32_t shard)>;
-
-/// Deterministic seeded tenant→shard map: which shard owns job `job` under
-/// `shards`-way partitioning. Pure (SplitMix64 over (shard_seed, job)), so
-/// the partition is stable across runs, platforms, and worker counts.
-/// Returns 0 when shards <= 1.
-std::uint32_t tenant_shard(std::uint64_t shard_seed, std::uint32_t shards,
-                           std::uint32_t job);
 
 struct EnsembleOptions {
   ArbiterStrategy strategy = ArbiterStrategy::StaticFairShare;
@@ -117,17 +98,11 @@ struct EnsembleOptions {
   /// measured against. Doubles the simulation work; disable for quick runs
   /// (slowdown and dedicated makespan then report 0).
   bool dedicated_baseline = true;
-  /// Tenant shards for the windowed parallel engine. 0 = the legacy fully
-  /// sequential reference loop; 1 = windowed engine, single shard (no
-  /// threads spawned); >= 2 = due tenants advance in parallel, grouped by
-  /// shard. The EnsembleReport is byte-identical across all values.
+  /// Which loop runs the stream: 1 = the windowed loop; 0 = the fully
+  /// sequential reference loop, kept as the byte-identity oracle for tests
+  /// and bench_scale. The EnsembleReport is identical under both; any other
+  /// value is rejected.
   std::uint32_t shards = 1;
-  /// Worker threads backing the shard pool (0 = hardware concurrency).
-  /// Never affects results, only wall-clock.
-  std::uint32_t threads = 0;
-  /// Seed of the tenant→shard map (kept fixed so recorded runs replay onto
-  /// identical partitions).
-  std::uint64_t shard_seed = 0x5A17D5ull;
   /// Feed each tenant's projected memory demand
   /// (JobEngine::requested_mem_mb) into demand-weighted arbitration via
   /// ArbiterConfig::instance_mem_mb taken from the site's MemoryConfig. Off
@@ -173,20 +148,10 @@ class EnsembleDriver {
   /// `profiles` is the workflow catalogue the arrival stream indexes into;
   /// `cloud` describes one site instance (its max_instances is ignored —
   /// EnsembleOptions::site_cap is the shared ceiling, and the per-tenant
-  /// engines are capped by their arbiter shares instead). With a plain
-  /// PolicyFactory the minted policies may share scratch (main loop plans
-  /// serially), but dedicated-baseline runs stay sequential.
+  /// engines are capped by their arbiter shares instead). Rejects options
+  /// outside their documented domains, naming the offending field.
   EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
                  ArrivalProcess arrivals, PolicyFactory policy_factory,
-                 const sim::CloudConfig& cloud,
-                 const EnsembleOptions& options = {});
-
-  /// Shard-aware overload: policies are minted per tenant shard
-  /// (exp::sharded_policy_factory), which additionally lets
-  /// dedicated-baseline runs execute shards in parallel.
-  EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
-                 ArrivalProcess arrivals,
-                 ShardedPolicyFactory sharded_policy_factory,
                  const sim::CloudConfig& cloud,
                  const EnsembleOptions& options = {});
   ~EnsembleDriver();  // out of line: Tenant is private to the .cpp
@@ -223,10 +188,7 @@ class EnsembleDriver {
 
   std::vector<workload::WorkflowProfile> profiles_;
   ArrivalProcess arrivals_;
-  /// All policy minting goes through the sharded form; a plain PolicyFactory
-  /// is wrapped to ignore the shard (and parallel_safe_factory_ is false).
-  ShardedPolicyFactory policy_factory_;
-  bool parallel_safe_factory_ = false;
+  PolicyFactory policy_factory_;
   sim::CloudConfig cloud_;
   EnsembleOptions options_;
   std::function<void(const SiteSample&)> site_listener_;
@@ -244,16 +206,14 @@ class EnsembleDriver {
   /// whether any row changed since the last allocation.
   std::vector<Tenant*> stepped_;
   bool rows_changed_ = false;
-  /// Windowed loop only, keyed by tenant index: next event and next
-  /// demand-relevant event of every active unfinished tenant, and pending
-  /// retirements.
+  /// Keyed by tenant index: next event and next demand-relevant event of
+  /// every active unfinished tenant, and pending retirements. Only the
+  /// windowed loop reads them.
   KeyedHeap events_;
   KeyedHeap demands_;
   KeyedHeap retirements_;
   /// Reused listener payload.
   SiteSample sample_;
-  /// Worker pool for the windowed engine; null unless shards >= 2.
-  std::unique_ptr<util::ThreadPool> pool_;
   double busy_slot_seconds_ = 0.0;
   double allocated_instance_seconds_ = 0.0;
   bool ran_ = false;

@@ -1,8 +1,5 @@
 #include "exp/settings.h"
 
-#include <mutex>
-#include <unordered_map>
-
 #include "policies/baselines.h"
 #include "util/check.h"
 
@@ -61,9 +58,8 @@ std::function<std::unique_ptr<sim::ScalingPolicy>()> policy_factory(
     PolicyKind kind, const core::WireOptions& wire_options) {
   if (kind == PolicyKind::Wire) {
     // All WIRE controllers minted by this factory share ONE Plan scratch
-    // arena: the ensemble driver serializes tenant planning (policies only
-    // plan() at serial points of the windowed loop), so the arena is free
-    // whenever the next tenant plans, and N tenants stop paying N sets of
+    // arena: the ensemble driver runs one tenant at a time, so the arena is
+    // free whenever the next tenant plans, and N tenants stop paying N sets of
     // projection-buffer allocation churn. A caller-supplied arena is
     // respected as-is.
     core::WireOptions shared = wire_options;
@@ -73,36 +69,6 @@ std::function<std::unique_ptr<sim::ScalingPolicy>()> policy_factory(
     return [kind, shared]() { return make_policy(kind, shared); };
   }
   return [kind, wire_options]() { return make_policy(kind, wire_options); };
-}
-
-std::function<std::unique_ptr<sim::ScalingPolicy>(std::uint32_t)>
-sharded_policy_factory(PolicyKind kind,
-                       const core::WireOptions& wire_options) {
-  if (kind != PolicyKind::Wire) {
-    return [kind, wire_options](std::uint32_t) {
-      return make_policy(kind, wire_options);
-    };
-  }
-  // One Plan scratch arena per shard, created on first use. The mutex makes
-  // concurrent minting safe (the sharded driver mints dedicated-baseline
-  // policies from worker threads); a caller-supplied arena is shared across
-  // all shards as-is — callers doing that opt out of shard isolation.
-  struct ArenaMap {
-    std::mutex mutex;
-    std::unordered_map<std::uint32_t, std::shared_ptr<core::PlanScratch>>
-        arenas;
-  };
-  auto map = std::make_shared<ArenaMap>();
-  return [kind, wire_options, map](std::uint32_t shard) {
-    core::WireOptions shared = wire_options;
-    if (!shared.plan_scratch) {
-      std::lock_guard<std::mutex> lock(map->mutex);
-      std::shared_ptr<core::PlanScratch>& arena = map->arenas[shard];
-      if (!arena) arena = std::make_shared<core::PlanScratch>();
-      shared.plan_scratch = arena;
-    }
-    return make_policy(kind, shared);
-  };
 }
 
 std::function<std::unique_ptr<sim::ScalingPolicy>()> budget_policy_factory(

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -688,6 +689,71 @@ TEST(EnsembleDriver, RejectsMalformedSetups) {
   EXPECT_THROW(EnsembleDriver(small_profiles(), burst_stream(2, 60.0), factory,
                               site, zero_cap),
                util::ContractViolation);
+}
+
+TEST(EnsembleDriver, RejectsOutOfDomainOptionsNamingTheField) {
+  // Each bad value must fail at construction with a message that names the
+  // field. A NaN max_sim_seconds would otherwise disable the stuck guard
+  // (every `now > NaN` is false), and a negative one would surface as a
+  // misleading "site appears stuck" at the first arrival.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    void (*corrupt)(EnsembleOptions&, double);
+    double value;
+  };
+  const auto shards = [](EnsembleOptions& o, double v) {
+    o.shards = static_cast<std::uint32_t>(v);
+  };
+  const auto max_sim = [](EnsembleOptions& o, double v) {
+    o.max_sim_seconds = v;
+  };
+  const auto budget = [](EnsembleOptions& o, double v) {
+    o.budget_units = v;
+  };
+  const auto stagger = [](EnsembleOptions& o, double v) {
+    o.checkpoint_stagger_period_seconds = v;
+  };
+  const Case cases[] = {
+      {"EnsembleOptions::shards", shards, 2.0},
+      {"EnsembleOptions::shards", shards, 8.0},
+      {"EnsembleOptions::max_sim_seconds", max_sim, nan},
+      {"EnsembleOptions::max_sim_seconds", max_sim, inf},
+      {"EnsembleOptions::max_sim_seconds", max_sim, 0.0},
+      {"EnsembleOptions::max_sim_seconds", max_sim, -1.0},
+      {"EnsembleOptions::budget_units", budget, nan},
+      {"EnsembleOptions::budget_units", budget, inf},
+      {"EnsembleOptions::budget_units", budget, -1.0},
+      {"EnsembleOptions::checkpoint_stagger_period_seconds", stagger, nan},
+      {"EnsembleOptions::checkpoint_stagger_period_seconds", stagger, inf},
+      {"EnsembleOptions::checkpoint_stagger_period_seconds", stagger, -1.0},
+  };
+  const PolicyFactory factory =
+      exp::policy_factory(exp::PolicyKind::PureReactive);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.field) + " = " + std::to_string(c.value));
+    EnsembleOptions options;
+    c.corrupt(options, c.value);
+    try {
+      const EnsembleDriver driver(small_profiles(), burst_stream(2, 60.0),
+                                  factory, quiet_site(), options);
+      ADD_FAILURE() << "constructor accepted the bad value";
+    } catch (const util::ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
+  }
+  // The boundary values stay legal: both loops, no budget, no stagger
+  // override.
+  for (const std::uint32_t loop : {0u, 1u}) {
+    EnsembleOptions options;
+    options.shards = loop;
+    options.budget_units = 0.0;
+    options.checkpoint_stagger_period_seconds = 0.0;
+    EXPECT_NO_THROW(EnsembleDriver(small_profiles(), burst_stream(2, 60.0),
+                                   factory, quiet_site(), options));
+  }
 }
 
 }  // namespace

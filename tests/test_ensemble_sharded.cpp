@@ -1,10 +1,8 @@
-// Differential suite for the sharded ensemble engine: the EnsembleReport
-// must be byte-identical across every execution configuration — the legacy
-// sequential reference loop (shards == 0), the windowed single-shard engine,
-// and parallel multi-shard runs with any worker count — under fault chaos,
-// memory-aware arbitration, and parallel dedicated baselines. Also pins the
-// seeded tenant→shard map (recorded scale trajectories replay onto identical
-// partitions only if the map never silently changes).
+// Differential suite for the ensemble driver's windowed loop: its
+// EnsembleReport must be byte-identical to the fully sequential reference
+// loop (EnsembleOptions::shards == 0) under fault chaos, memory-aware,
+// budget-weighted and bandit-selector tenants, and the shared checkpoint
+// channel — and its site samples must be a subsequence of the reference's.
 //
 // Randomized coverage announces its seed via SCOPED_TRACE; WIRE_FUZZ_SEED
 // adds one environment-chosen chaos seed (the CI faults-fuzz job sets it to
@@ -77,75 +75,26 @@ ArrivalProcess burst_stream(std::uint32_t jobs, double spacing_seconds,
   return ArrivalProcess::fixed_trace(std::move(trace), seed);
 }
 
-/// One full ensemble run under the given execution configuration; everything
-/// except (shards, threads) is held fixed so reports are comparable.
+/// One full ensemble run under the given loop (shards: 0 = reference,
+/// 1 = windowed); everything else is held fixed so reports are comparable.
 EnsembleReport run_report(const sim::CloudConfig& site,
                           EnsembleOptions options, std::uint32_t shards,
-                          std::uint32_t threads, exp::PolicyKind kind,
-                          std::uint32_t jobs, std::uint64_t stream_seed,
+                          exp::PolicyKind kind, std::uint32_t jobs,
+                          std::uint64_t stream_seed,
                           const core::WireOptions& wire_options = {}) {
   options.shards = shards;
-  options.threads = threads;
   EnsembleDriver driver(small_profiles(), burst_stream(jobs, 90.0, stream_seed),
                         exp::policy_factory(kind, wire_options), site, options);
   return driver.run();
 }
 
 // ---------------------------------------------------------------------------
-// The seeded tenant→shard map
+// Differential: windowed vs the sequential reference
 
-TEST(TenantShardMap, GoldenPartitionNeverChanges) {
-  // Recorded trajectories (BENCH_scale.json) replay onto identical
-  // partitions only if the default-seed map stays exactly this. If this test
-  // fails, the map changed — that is a breaking change to recorded runs, not
-  // a tweak.
-  const std::uint64_t seed = 0x5A17D5ull;  // EnsembleOptions default
-  const std::uint32_t expect4[16] = {2, 0, 1, 0, 3, 2, 1, 2,
-                                     0, 3, 0, 3, 0, 3, 3, 2};
-  const std::uint32_t expect3[16] = {2, 0, 1, 1, 2, 1, 0, 0,
-                                     0, 0, 2, 0, 2, 2, 1, 2};
-  const std::uint32_t expect2[16] = {0, 0, 1, 0, 1, 0, 1, 0,
-                                     0, 1, 0, 1, 0, 1, 1, 0};
-  for (std::uint32_t job = 0; job < 16; ++job) {
-    EXPECT_EQ(tenant_shard(seed, 4, job), expect4[job]) << "job " << job;
-    EXPECT_EQ(tenant_shard(seed, 3, job), expect3[job]) << "job " << job;
-    EXPECT_EQ(tenant_shard(seed, 2, job), expect2[job]) << "job " << job;
-  }
-}
-
-TEST(TenantShardMap, BasicProperties) {
-  // shards <= 1 pins everything to shard 0; otherwise the map stays in
-  // range, is pure in its inputs, and actually uses every shard over a
-  // modest job population (it is a hash, not a modulo of the job id).
-  for (std::uint32_t job = 0; job < 8; ++job) {
-    EXPECT_EQ(tenant_shard(99, 0, job), 0u);
-    EXPECT_EQ(tenant_shard(99, 1, job), 0u);
-  }
-  std::vector<std::uint32_t> population(4, 0);
-  for (std::uint32_t job = 0; job < 64; ++job) {
-    const std::uint32_t shard = tenant_shard(7, 4, job);
-    ASSERT_LT(shard, 4u);
-    EXPECT_EQ(shard, tenant_shard(7, 4, job));  // pure
-    ++population[shard];
-  }
-  for (std::uint32_t shard = 0; shard < 4; ++shard) {
-    EXPECT_GT(population[shard], 0u) << "shard " << shard << " never used";
-  }
-  // A different seed produces a different partition (some job moves).
-  bool moved = false;
-  for (std::uint32_t job = 0; job < 64 && !moved; ++job) {
-    moved = tenant_shard(7, 4, job) != tenant_shard(8, 4, job);
-  }
-  EXPECT_TRUE(moved);
-}
-
-// ---------------------------------------------------------------------------
-// Differential: windowed/sharded vs the sequential reference
-
-TEST(ShardedDriver, WindowedMatchesSequentialReference) {
-  // shards == 0 is the historical event-at-a-time loop; every windowed
-  // configuration must reproduce its report byte-for-byte (operator== plus
-  // the rendered fixed-width table).
+TEST(WindowedDriver, MatchesSequentialReference) {
+  // shards == 0 is the historical event-at-a-time loop; the windowed loop
+  // must reproduce its report byte-for-byte (operator== plus the rendered
+  // fixed-width table).
   const sim::CloudConfig site = quiet_site();
   for (ArbiterStrategy strategy :
        {ArbiterStrategy::DemandWeighted, ArbiterStrategy::StaticFairShare}) {
@@ -153,28 +102,22 @@ TEST(ShardedDriver, WindowedMatchesSequentialReference) {
     options.strategy = strategy;
     options.site_cap = 6;
     options.dedicated_baseline = false;
+    SCOPED_TRACE("strategy=" + std::string(strategy_name(strategy)));
     const EnsembleReport reference =
-        run_report(site, options, /*shards=*/0, /*threads=*/1,
+        run_report(site, options, /*shards=*/0,
                    exp::PolicyKind::ReactiveConserving, /*jobs=*/6, 13);
-    for (std::uint32_t shards : {1u, 2u, 4u}) {
-      for (std::uint32_t threads : {1u, 2u}) {
-        SCOPED_TRACE("strategy=" + std::string(strategy_name(strategy)) +
-                     " shards=" + std::to_string(shards) +
-                     " threads=" + std::to_string(threads));
-        const EnsembleReport sharded =
-            run_report(site, options, shards, threads,
-                       exp::PolicyKind::ReactiveConserving, 6, 13);
-        EXPECT_TRUE(sharded == reference);
-        EXPECT_EQ(sharded.render(), reference.render());
-      }
-    }
+    const EnsembleReport windowed =
+        run_report(site, options, /*shards=*/1,
+                   exp::PolicyKind::ReactiveConserving, 6, 13);
+    EXPECT_TRUE(windowed == reference);
+    EXPECT_EQ(windowed.render(), reference.render());
   }
 }
 
-TEST(ShardedDriver, InvariantToShardCountUnderFaultChaos) {
+TEST(WindowedDriver, MatchesReferenceUnderFaultChaos) {
   // The hostile fault model keeps InstanceCrash / fault-mode InstanceReady
-  // events (and crash-driven retirement churn) in play; reports must still
-  // be independent of the execution configuration, across seeds.
+  // events (and crash-driven retirement churn) in play; the windowed report
+  // must still match the reference, across seeds.
   const sim::CloudConfig site = crashy_site();
   EnsembleOptions options;
   options.strategy = ArbiterStrategy::DemandWeighted;
@@ -182,18 +125,15 @@ TEST(ShardedDriver, InvariantToShardCountUnderFaultChaos) {
   options.dedicated_baseline = false;
   for (std::uint64_t seed : {21ull, 22ull}) {
     SCOPED_TRACE("stream_seed=" + std::to_string(seed));
-    const EnsembleReport reference = run_report(
-        site, options, 0, 1, exp::PolicyKind::PureReactive, 6, seed);
+    const EnsembleReport reference =
+        run_report(site, options, 0, exp::PolicyKind::PureReactive, 6, seed);
     EXPECT_GT(reference.total_task_faults + reference.total_instance_crashes,
               0u)
         << "fault model never engaged — the chaos differential is vacuous";
-    for (std::uint32_t shards : {1u, 3u}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards));
-      const EnsembleReport sharded = run_report(
-          site, options, shards, 2, exp::PolicyKind::PureReactive, 6, seed);
-      EXPECT_TRUE(sharded == reference);
-      EXPECT_EQ(sharded.render(), reference.render());
-    }
+    const EnsembleReport windowed =
+        run_report(site, options, 1, exp::PolicyKind::PureReactive, 6, seed);
+    EXPECT_TRUE(windowed == reference);
+    EXPECT_EQ(windowed.render(), reference.render());
   }
 }
 
@@ -238,8 +178,8 @@ TEST(MemoryDemandSignal, TightProvisioningSlowdownStaysBounded) {
   // mean slowdown 3.90x). Bidding only the wave that can actually run at the
   // planned pool size brings the same cell under 1.5x. This replicates the
   // bench_ensemble tight cell exactly (mem_factor 0.75, demand-weighted WIRE
-  // tenants, 50-job Poisson stream, seed 1905), sharded for wall-clock —
-  // shard invariance is pinned byte-for-byte by the suites above.
+  // tenants, 50-job Poisson stream, seed 1905) on the windowed loop, which
+  // the suites above pin byte-for-byte to the reference.
   const std::vector<workload::WorkflowProfile> catalogue = {
       workload::tpch1_profile(workload::Scale::Small),
       workload::tpch6_profile(workload::Scale::Small),
@@ -269,21 +209,20 @@ TEST(MemoryDemandSignal, TightProvisioningSlowdownStaysBounded) {
   options.strategy = ArbiterStrategy::DemandWeighted;
   options.site_cap = site.max_instances;
   options.memory_aware_demand = true;
-  options.shards = 4;
-  options.threads = 4;
   EnsembleDriver driver(catalogue, arrivals,
-                        exp::sharded_policy_factory(exp::PolicyKind::Wire,
-                                                    wire_options),
+                        exp::policy_factory(exp::PolicyKind::Wire,
+                                            wire_options),
                         site, options);
   const EnsembleReport report = driver.run();
   EXPECT_EQ(report.jobs.size(), 50u);
   EXPECT_LT(report.mean_slowdown, 1.5);
 }
 
-TEST(ShardedDriver, MemoryAwareDemandMatchesAcrossShards) {
+TEST(WindowedDriver, MemoryAwareDemandMatchesReference) {
   // Memory-aware arbitration (projected-footprint bids lifted into instance
-  // counts) rides the same demand rows; the flag must not break
-  // shard invariance. WIRE tenants report the projected footprint.
+  // counts) rides the same demand rows; the flag must not break the
+  // windowed loop's byte identity. WIRE tenants report the projected
+  // footprint.
   sim::CloudConfig site = quiet_site();
   site.memory.instance_mem_mb = 4096.0;
   site.memory.noise_sigma = 0.2;
@@ -294,25 +233,21 @@ TEST(ShardedDriver, MemoryAwareDemandMatchesAcrossShards) {
   options.memory_aware_demand = true;
   core::WireOptions wire;
   wire.report_memory_demand = true;
-  const EnsembleReport reference = run_report(
-      site, options, 0, 1, exp::PolicyKind::Wire, 3, 13, wire);
-  for (std::uint32_t shards : {1u, 2u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    const EnsembleReport sharded = run_report(
-        site, options, shards, 2, exp::PolicyKind::Wire, 3, 13, wire);
-    EXPECT_TRUE(sharded == reference);
-    EXPECT_EQ(sharded.render(), reference.render());
-  }
+  const EnsembleReport reference =
+      run_report(site, options, 0, exp::PolicyKind::Wire, 3, 13, wire);
+  const EnsembleReport windowed =
+      run_report(site, options, 1, exp::PolicyKind::Wire, 3, 13, wire);
+  EXPECT_TRUE(windowed == reference);
+  EXPECT_EQ(windowed.render(), reference.render());
 }
 
-TEST(ShardedDriver, BanditSelectorMatchesAcrossShards) {
+TEST(WindowedDriver, BanditSelectorMatchesReference) {
   // Selector-on cells: every WIRE tenant runs its own BanditSelector (all
-  // seeded from the same bandit.seed — the sharded factory mints tenants
-  // concurrently, so per-tenant state cannot depend on mint order), and the
-  // arm switches it drives through TaskPredictor::reconfigure must stay
-  // invariant to the execution configuration. Aggressive exploration plus a
-  // short switch period keeps arm churn constant; the crashy site keeps the
-  // fault stream in play under that churn.
+  // seeded from the same bandit.seed), and the arm switches it drives
+  // through TaskPredictor::reconfigure must be the reference loop's.
+  // Aggressive exploration plus a short switch period keeps arm churn
+  // constant; the crashy site keeps the fault stream in play under that
+  // churn.
   core::WireOptions wire;
   wire.bandit.arms = 4;
   wire.bandit.seed = 77;
@@ -327,55 +262,21 @@ TEST(ShardedDriver, BanditSelectorMatchesAcrossShards) {
     SCOPED_TRACE(chaos ? "site=crashy" : "site=quiet");
     const sim::CloudConfig site = chaos ? crashy_site() : quiet_site();
     const EnsembleReport reference =
-        run_report(site, options, 0, 1, exp::PolicyKind::Wire, 4, 13, wire);
-    for (std::uint32_t shards : {1u, 2u, 4u}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards));
-      const EnsembleReport sharded = run_report(
-          site, options, shards, 2, exp::PolicyKind::Wire, 4, 13, wire);
-      EXPECT_TRUE(sharded == reference);
-      EXPECT_EQ(sharded.render(), reference.render());
-    }
+        run_report(site, options, 0, exp::PolicyKind::Wire, 4, 13, wire);
+    const EnsembleReport windowed =
+        run_report(site, options, 1, exp::PolicyKind::Wire, 4, 13, wire);
+    EXPECT_TRUE(windowed == reference);
+    EXPECT_EQ(windowed.render(), reference.render());
   }
 }
 
-TEST(ShardedDriver, ParallelDedicatedBaselineMatchesSequential) {
-  // A shard-aware factory lets dedicated-baseline replays run per shard in
-  // parallel; slowdown/dedicated-makespan columns must match the sequential
-  // reference exactly (per-shard arenas cannot leak into results).
-  const sim::CloudConfig site = quiet_site();
-  EnsembleOptions options;
-  options.strategy = ArbiterStrategy::StaticFairShare;
-  options.site_cap = 6;
-  options.dedicated_baseline = true;
-  const auto make_driver = [&](std::uint32_t shards, std::uint32_t threads) {
-    EnsembleOptions o = options;
-    o.shards = shards;
-    o.threads = threads;
-    return EnsembleDriver(
-        small_profiles(), burst_stream(5, 120.0),
-        exp::sharded_policy_factory(exp::PolicyKind::ReactiveConserving), site,
-        o);
-  };
-  EnsembleDriver sequential = make_driver(0, 1);
-  const EnsembleReport reference = sequential.run();
-  for (const JobOutcome& j : reference.jobs) {
-    ASSERT_GT(j.dedicated_makespan_seconds, 0.0);
-  }
-  EnsembleDriver parallel = make_driver(4, 2);
-  const EnsembleReport sharded = parallel.run();
-  EXPECT_TRUE(sharded == reference);
-  EXPECT_EQ(sharded.render(), reference.render());
-}
-
-TEST(ShardedDriver, CapacityInvariantHoldsAtSerialPoints) {
-  // Under sharding the site listener fires at serial events only; the
+TEST(WindowedDriver, CapacityInvariantHoldsAtSerialPoints) {
+  // The windowed loop's site listener fires at serial events only; the
   // capacity invariant must hold at every one of them.
   EnsembleOptions options;
   options.strategy = ArbiterStrategy::DemandWeighted;
   options.site_cap = 4;
   options.dedicated_baseline = false;
-  options.shards = 4;
-  options.threads = 2;
   EnsembleDriver driver(small_profiles(), burst_stream(5, 60.0),
                         exp::policy_factory(exp::PolicyKind::PureReactive),
                         quiet_site(), options);
@@ -400,11 +301,9 @@ TEST(ShardedDriver, CapacityInvariantHoldsAtSerialPoints) {
 /// waiting tenants plus the report columns).
 EnsembleReport run_budget_report(const sim::CloudConfig& site,
                                  EnsembleOptions options, std::uint32_t shards,
-                                 std::uint32_t threads, double budget_units,
-                                 std::uint32_t jobs,
+                                 double budget_units, std::uint32_t jobs,
                                  std::uint64_t stream_seed) {
   options.shards = shards;
-  options.threads = threads;
   options.budget_units = budget_units;
   policies::BudgetOptions budget;
   budget.budget_units = budget_units;
@@ -415,9 +314,9 @@ EnsembleReport run_budget_report(const sim::CloudConfig& site,
   return driver.run();
 }
 
-TEST(BudgetArbitration, ShardInvariantAcrossBudgetTightness) {
-  // Budget-weighted arbitration rides the same demand rows and merge as the
-  // other strategies, so sharded runs must reproduce the sequential reference
+TEST(BudgetArbitration, WindowedMatchesReferenceAcrossBudgetTightness) {
+  // Budget-weighted arbitration rides the same demand rows as the other
+  // strategies, so the windowed loop must reproduce the sequential reference
   // byte-for-byte — with budgets tight (tenants hit exhaustion and bid their
   // way down to the floor) and ample (weights saturate, never bind).
   const sim::CloudConfig site = quiet_site();
@@ -426,9 +325,9 @@ TEST(BudgetArbitration, ShardInvariantAcrossBudgetTightness) {
     options.strategy = ArbiterStrategy::BudgetWeighted;
     options.site_cap = 6;
     options.dedicated_baseline = false;
-    const EnsembleReport reference =
-        run_budget_report(site, options, /*shards=*/0, /*threads=*/1,
-                          budget_units, /*jobs=*/6, 13);
+    SCOPED_TRACE("budget=" + std::to_string(budget_units));
+    const EnsembleReport reference = run_budget_report(
+        site, options, /*shards=*/0, budget_units, /*jobs=*/6, 13);
     // The budget columns and the render's budget line are live.
     for (const JobOutcome& j : reference.jobs) {
       EXPECT_EQ(j.budget_units, budget_units);
@@ -436,21 +335,17 @@ TEST(BudgetArbitration, ShardInvariantAcrossBudgetTightness) {
                 std::max(0.0, j.cost_units - j.budget_units));
     }
     EXPECT_NE(reference.render().find("budget:"), std::string::npos);
-    for (std::uint32_t shards : {1u, 2u, 4u}) {
-      SCOPED_TRACE("budget=" + std::to_string(budget_units) +
-                   " shards=" + std::to_string(shards));
-      const EnsembleReport sharded = run_budget_report(
-          site, options, shards, /*threads=*/2, budget_units, 6, 13);
-      EXPECT_TRUE(sharded == reference);
-      EXPECT_EQ(sharded.render(), reference.render());
-    }
+    const EnsembleReport windowed =
+        run_budget_report(site, options, /*shards=*/1, budget_units, 6, 13);
+    EXPECT_TRUE(windowed == reference);
+    EXPECT_EQ(windowed.render(), reference.render());
   }
 }
 
-TEST(BudgetArbitration, ShardInvariantUnderFaultChaos) {
+TEST(BudgetArbitration, WindowedMatchesReferenceUnderFaultChaos) {
   // Tight budgets under the hostile fault model: exhaustion, crash-driven
-  // retirement churn and budget-weighted bidding together must stay
-  // independent of the execution configuration, across seeds.
+  // retirement churn and budget-weighted bidding together must leave the
+  // windowed report equal to the reference, across seeds.
   const sim::CloudConfig site = crashy_site();
   EnsembleOptions options;
   options.strategy = ArbiterStrategy::BudgetWeighted;
@@ -459,37 +354,33 @@ TEST(BudgetArbitration, ShardInvariantUnderFaultChaos) {
   for (std::uint64_t seed : {21ull, 29ull}) {
     SCOPED_TRACE("stream_seed=" + std::to_string(seed));
     const EnsembleReport reference =
-        run_budget_report(site, options, 0, 1, /*budget_units=*/4.0, 6, seed);
+        run_budget_report(site, options, 0, /*budget_units=*/4.0, 6, seed);
     EXPECT_GT(reference.total_task_faults + reference.total_instance_crashes,
               0u)
         << "fault model never engaged — the chaos differential is vacuous";
-    for (std::uint32_t shards : {1u, 3u}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards));
-      const EnsembleReport sharded =
-          run_budget_report(site, options, shards, 2, 4.0, 6, seed);
-      EXPECT_TRUE(sharded == reference);
-      EXPECT_EQ(sharded.render(), reference.render());
-    }
+    const EnsembleReport windowed =
+        run_budget_report(site, options, 1, 4.0, 6, seed);
+    EXPECT_TRUE(windowed == reference);
+    EXPECT_EQ(windowed.render(), reference.render());
   }
 }
 
 TEST(BudgetArbitration, BudgetOffKeepsBaselineBytes) {
   // The budget-off identity contract at the ensemble layer: a zero budget
   // through the budget factory (and EnsembleOptions left at its 0 default)
-  // must reproduce the plain factory's report bytes, sharded or not.
+  // must reproduce the plain factory's report bytes under either loop.
   const sim::CloudConfig site = quiet_site();
   EnsembleOptions options;
   options.strategy = ArbiterStrategy::DemandWeighted;
   options.site_cap = 6;
   options.dedicated_baseline = false;
   const EnsembleReport reference = run_report(
-      site, options, 0, 1, exp::PolicyKind::ReactiveConserving, 6, 13);
+      site, options, 0, exp::PolicyKind::ReactiveConserving, 6, 13);
   EXPECT_EQ(reference.render().find("budget:"), std::string::npos);
-  for (std::uint32_t shards : {0u, 2u}) {
+  for (std::uint32_t shards : {0u, 1u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     const EnsembleReport off = run_budget_report(
-        site, options, shards, shards == 0 ? 1 : 2, /*budget_units=*/0.0, 6,
-        13);
+        site, options, shards, /*budget_units=*/0.0, 6, 13);
     EXPECT_TRUE(off == reference);
     EXPECT_EQ(off.render(), reference.render());
   }
@@ -563,7 +454,6 @@ struct DenseRun {
 DenseRun run_dense(EnsembleOptions options, std::uint32_t shards,
                    Channel channel) {
   options.shards = shards;
-  options.threads = 2;
   options.site_cap = 10;
   options.dedicated_baseline = false;
   options.memory_aware_demand = true;
@@ -600,7 +490,7 @@ bool is_subsequence(const std::vector<SiteSample>& part,
   return k == part.size();
 }
 
-TEST(ShardedDriver, DenseFrontsMatchReferenceAtEverySerialEvent) {
+TEST(WindowedDriver, DenseFrontsMatchReferenceAtEverySerialEvent) {
   for (const ArbiterStrategy strategy :
        {ArbiterStrategy::DemandWeighted, ArbiterStrategy::BudgetWeighted}) {
     for (const Channel channel :
@@ -632,28 +522,15 @@ TEST(ShardedDriver, DenseFrontsMatchReferenceAtEverySerialEvent) {
       }
       EXPECT_GT(tied, reference.report.jobs.size());
 
-      std::vector<SiteSample> windowed;
-      for (std::uint32_t shards : {1u, 2u, 3u}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        const DenseRun run = run_dense(options, shards, channel);
-        EXPECT_TRUE(run.report == reference.report);
-        EXPECT_EQ(run.report.render(), reference.report.render());
-        if (shards == 1) {
-          windowed = run.samples;
-          EXPECT_TRUE(is_subsequence(windowed, reference.samples));
-          continue;
-        }
-        ASSERT_EQ(run.samples.size(), windowed.size());
-        for (std::size_t i = 0; i < windowed.size(); ++i) {
-          ASSERT_TRUE(same_sample(run.samples[i], windowed[i]))
-              << "serial event " << i;
-        }
-      }
+      const DenseRun windowed = run_dense(options, /*shards=*/1, channel);
+      EXPECT_TRUE(windowed.report == reference.report);
+      EXPECT_EQ(windowed.report.render(), reference.report.render());
+      EXPECT_TRUE(is_subsequence(windowed.samples, reference.samples));
     }
   }
 }
 
-TEST(ShardedChaos, EnvironmentSeedRuns) {
+TEST(WindowedChaos, EnvironmentSeedRuns) {
   // CI chaos: WIRE_FUZZ_SEED (echoed in the job log) picks the arrival
   // stream seed for one extra differential sweep under the hostile fault
   // model.
@@ -661,22 +538,18 @@ TEST(ShardedChaos, EnvironmentSeedRuns) {
   if (env == nullptr) GTEST_SKIP() << "WIRE_FUZZ_SEED not set";
   const std::uint64_t seed = std::strtoull(env, nullptr, 10);
   SCOPED_TRACE("WIRE_FUZZ_SEED=" + std::to_string(seed));
-  std::printf("running sharded differential with WIRE_FUZZ_SEED=%llu\n",
+  std::printf("running windowed differential with WIRE_FUZZ_SEED=%llu\n",
               static_cast<unsigned long long>(seed));
   EnsembleOptions options;
   options.strategy = ArbiterStrategy::DemandWeighted;
   options.site_cap = 6;
   options.dedicated_baseline = false;
   const EnsembleReport reference = run_report(
-      crashy_site(), options, 0, 1, exp::PolicyKind::PureReactive, 6, seed);
-  for (std::uint32_t shards : {1u, 2u, 4u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    const EnsembleReport sharded = run_report(
-        crashy_site(), options, shards, 2, exp::PolicyKind::PureReactive, 6,
-        seed);
-    EXPECT_TRUE(sharded == reference);
-    EXPECT_EQ(sharded.render(), reference.render());
-  }
+      crashy_site(), options, 0, exp::PolicyKind::PureReactive, 6, seed);
+  const EnsembleReport windowed = run_report(
+      crashy_site(), options, 1, exp::PolicyKind::PureReactive, 6, seed);
+  EXPECT_TRUE(windowed == reference);
+  EXPECT_EQ(windowed.render(), reference.render());
 }
 
 }  // namespace

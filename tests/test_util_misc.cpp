@@ -1,8 +1,7 @@
-// Tests for the remaining utility surface: text tables, CSV escaping, the
-// thread pool, parallel_for error propagation, contracts, and logging.
+// Tests for the remaining utility surface: text tables, CSV escaping,
+// contracts, and logging.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -12,7 +11,6 @@
 #include "util/csv.h"
 #include "util/log.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace wire::util {
 namespace {
@@ -74,55 +72,6 @@ TEST(CsvWriter, EscapesSpecialCharacters) {
 
 TEST(CsvWriter, UnwritablePathThrows) {
   EXPECT_THROW(CsvWriter("/nonexistent-dir/foo.csv"), std::runtime_error);
-}
-
-TEST(ThreadPool, ExecutesAllJobs) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  std::atomic<int> counter{0};
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&counter, i] {
-      counter.fetch_add(1);
-      return i * 2;
-    }));
-  }
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * 2);
-  }
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, DrainsQueueOnDestruction) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1); });
-    }
-  }  // destructor joins after all jobs ran
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  std::vector<std::atomic<int>> hits(200);
-  parallel_for(200, [&hits](std::size_t i) { hits[i].fetch_add(1); }, 8);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, PropagatesExceptions) {
-  EXPECT_THROW(
-      parallel_for(
-          16,
-          [](std::size_t i) {
-            if (i == 7) throw std::runtime_error("boom");
-          },
-          4),
-      std::runtime_error);
-}
-
-TEST(ParallelFor, ZeroJobsIsFine) {
-  parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; }, 2);
 }
 
 TEST(Contracts, MessagesCarryContext) {
