@@ -110,14 +110,6 @@ bool CloudPool::is_usable(InstanceId id, SimTime now) const {
          now >= inst.ready_at;
 }
 
-std::vector<InstanceId> CloudPool::dispatchable(SimTime now) const {
-  std::vector<InstanceId> out;
-  for (InstanceId id : live_ids_) {
-    if (is_usable(id, now)) out.push_back(id);
-  }
-  return out;
-}
-
 SimTime CloudPool::time_to_next_charge(InstanceId id, SimTime now) const {
   const Instance& inst = instance(id);
   WIRE_REQUIRE(inst.state == InstanceState::Ready, "instance not ready");

@@ -83,15 +83,13 @@ class CloudPool {
   bool revocation_announced(InstanceId id, SimTime now) const;
 
   const Instance& instance(InstanceId id) const;
+  /// Ready and not draining: a dispatch target.
   bool is_usable(InstanceId id, SimTime now) const;
 
-  /// Ready, non-draining, non-terminated instances (dispatch targets), in id
-  /// order.
-  std::vector<InstanceId> dispatchable(SimTime now) const;
-
   /// All instances that are Provisioning or Ready (not terminated), in id
-  /// order. Returns a copy: callers may terminate while iterating.
-  std::vector<InstanceId> live() const { return live_ids_; }
+  /// order. terminate() erases from this vector, so a caller that
+  /// terminates while iterating must walk a copy.
+  const std::vector<InstanceId>& live() const { return live_ids_; }
 
   /// Count of live instances (Provisioning + Ready) — what site capacity
   /// constrains.
@@ -127,7 +125,7 @@ class CloudPool {
   std::vector<Instance> instances_;
   /// Ids of non-terminated instances, kept sorted (ids are assigned in
   /// increasing order; terminate() erases in place). Makes live()/live_count()
-  /// and dispatchable() O(live pool) instead of O(instances ever created) —
+  /// and the dispatch scan O(live pool) instead of O(instances ever created) —
   /// the difference matters once long ensemble runs accumulate thousands of
   /// retired instances per tenant.
   std::vector<InstanceId> live_ids_;

@@ -124,38 +124,26 @@ void JobEngine::step() {
 }
 
 void JobEngine::dispatch_all(SimTime now) {
-  if (!config_.memory.enabled()) {
-    while (framework_.has_ready()) {
-      InstanceId target = kInvalidInstance;
-      for (InstanceId id : cloud_.dispatchable(now)) {
-        if (framework_.free_slots(id) > 0) {
-          target = id;
-          break;
-        }
-      }
-      if (target == kInvalidInstance) return;
-      const TaskId task = framework_.pop_ready();
-      const std::uint32_t slot = framework_.take_free_slot(target);
-      framework_.on_dispatch(task, target, slot, now);
-      begin_transfer(task, /*inbound=*/true, workflow_.task(task).input_mb,
-                     now);
-    }
-    return;
-  }
-  // Memory-aware admission: the head ready task needs a free slot AND enough
-  // free memory for its sized reservation. FIFO order is preserved strictly —
-  // a head task that fits nowhere blocks the queue (no backfilling), which is
-  // exactly the projection the lookahead replays.
+  // The head ready task goes to the lowest-id usable instance with a free
+  // slot. Memory-aware admission also needs enough free memory for the
+  // task's sized reservation. FIFO order is preserved strictly — a head task
+  // that fits nowhere blocks the queue (no backfilling), which is exactly
+  // the projection the lookahead replays. Binding a task neither starts nor
+  // stops an instance, so the live index is walked in place.
+  const bool memory = config_.memory.enabled();
+  const std::vector<InstanceId>& live = cloud_.live();
   while (framework_.has_ready()) {
     const TaskId task = *framework_.peek_ready();
     const dag::TaskSpec& spec = workflow_.task(task);
-    const double reservation = sizer_.reservation_mb(
-        spec.stage, spec.ref_peak_mem_mb, framework_.runtime(task).oom_attempts);
+    const double reservation =
+        memory ? sizer_.reservation_mb(spec.stage, spec.ref_peak_mem_mb,
+                                       framework_.runtime(task).oom_attempts)
+               : -1.0;
     InstanceId target = kInvalidInstance;
-    for (InstanceId id : cloud_.dispatchable(now)) {
-      if (framework_.free_slots(id) > 0 &&
-          framework_.mem_used(id) + reservation <=
-              config_.memory.instance_mem_mb + 1e-9) {
+    for (InstanceId id : live) {
+      if (framework_.free_slots(id) > 0 && cloud_.is_usable(id, now) &&
+          (!memory || framework_.mem_used(id) + reservation <=
+                          config_.memory.instance_mem_mb + 1e-9)) {
         target = id;
         break;
       }
@@ -187,8 +175,10 @@ void JobEngine::advance_transfers(SimTime now) {
 }
 
 void JobEngine::arm_transfer_guard(SimTime now) {
-  ++transfer_epoch_;
-  if (transfers_.empty()) return;
+  if (transfers_.empty()) {
+    queue_.disarm(GuardSlot::Transfer);
+    return;
+  }
   const double rate = transfer_rate();
   WIRE_CHECK(rate > 0.0, "active transfers with zero rate");
   double min_remaining = transfers_.front().remaining_mb;
@@ -196,8 +186,7 @@ void JobEngine::arm_transfer_guard(SimTime now) {
     min_remaining = std::min(min_remaining, t.remaining_mb);
   }
   const SimTime when = now + std::max(0.0, min_remaining) / rate;
-  queue_.schedule(when, EventKind::TransferGuard, 0,
-                  static_cast<std::uint32_t>(transfer_epoch_));
+  queue_.arm(GuardSlot::Transfer, when, EventKind::TransferGuard);
 }
 
 void JobEngine::begin_transfer(TaskId task, bool inbound, double payload_mb,
@@ -319,23 +308,24 @@ void JobEngine::finish_transfer_out(TaskId task, SimTime now) {
 }
 
 void JobEngine::handle_transfer_guard(const Event& e) {
-  if (static_cast<std::uint32_t>(transfer_epoch_) != e.aux) return;
   advance_transfers(e.time);
-  std::vector<ActiveTransfer> finished;
+  finished_transfers_.clear();
   std::size_t keep = 0;
   for (std::size_t i = 0; i < transfers_.size(); ++i) {
     ActiveTransfer& t = transfers_[i];
     const bool stale = !attempt_is_current(t.task, t.attempt);
     if (stale) continue;  // dropped silently (task was resubmitted)
     if (t.remaining_mb <= 1e-9) {
-      finished.push_back(t);
+      finished_transfers_.push_back(t);
       continue;
     }
     transfers_[keep++] = t;
   }
   transfers_.resize(keep);
   arm_transfer_guard(e.time);
-  for (const ActiveTransfer& t : finished) {
+  // Nothing below touches finished_transfers_: finishing a transfer can
+  // start new ones and re-arm the guard, but never re-enters this handler.
+  for (const ActiveTransfer& t : finished_transfers_) {
     if (t.inbound) {
       finish_transfer_in(t.task, e.time);
     } else {
@@ -418,8 +408,10 @@ void JobEngine::advance_ckpt_writes(SimTime now) {
 }
 
 void JobEngine::arm_ckpt_guard(SimTime now) {
-  ++ckpt_epoch_;
-  if (ckpt_writes_.empty()) return;
+  if (ckpt_writes_.empty()) {
+    queue_.disarm(GuardSlot::Checkpoint);
+    return;
+  }
   const double rate = ckpt_write_rate();
   WIRE_CHECK(rate > 0.0, "active checkpoint writes with zero rate");
   double min_remaining = ckpt_writes_.front().remaining_mb;
@@ -427,8 +419,7 @@ void JobEngine::arm_ckpt_guard(SimTime now) {
     min_remaining = std::min(min_remaining, w.remaining_mb);
   }
   const SimTime when = now + std::max(0.0, min_remaining) / rate;
-  queue_.schedule(when, EventKind::CheckpointGuard, 0,
-                  static_cast<std::uint32_t>(ckpt_epoch_));
+  queue_.arm(GuardSlot::Checkpoint, when, EventKind::CheckpointGuard);
 }
 
 void JobEngine::handle_task_checkpoint(const Event& e) {
@@ -452,9 +443,8 @@ void JobEngine::handle_task_checkpoint(const Event& e) {
 }
 
 void JobEngine::handle_checkpoint_guard(const Event& e) {
-  if (static_cast<std::uint32_t>(ckpt_epoch_) != e.aux) return;
   advance_ckpt_writes(e.time);
-  std::vector<ActiveCkptWrite> committed;
+  committed_writes_.clear();
   std::size_t keep = 0;
   for (std::size_t i = 0; i < ckpt_writes_.size(); ++i) {
     ActiveCkptWrite& w = ckpt_writes_[i];
@@ -465,14 +455,14 @@ void JobEngine::handle_checkpoint_guard(const Event& e) {
       continue;
     }
     if (w.remaining_mb <= 1e-9) {
-      committed.push_back(w);
+      committed_writes_.push_back(w);
       continue;
     }
     ckpt_writes_[keep++] = w;
   }
   ckpt_writes_.resize(keep);
   arm_ckpt_guard(e.time);
-  for (const ActiveCkptWrite& w : committed) {
+  for (const ActiveCkptWrite& w : committed_writes_) {
     ++ckpt_completed_;
     ckpt_io_slot_seconds_ += e.time - w.started;
     // Everything executed before the write started is now durable; a later
@@ -533,7 +523,7 @@ void JobEngine::set_checkpoint_channel(double bandwidth_mb_per_s, SimTime now) {
   // re-armed because the projected earliest completion changed.
   advance_ckpt_writes(now);
   ckpt_bandwidth_ = bandwidth_mb_per_s;
-  if (!ckpt_writes_.empty()) arm_ckpt_guard(now);
+  arm_ckpt_guard(now);
 }
 
 void JobEngine::set_checkpoint_window(SimTime offset, double length,
@@ -890,7 +880,9 @@ RunResult JobEngine::result() {
   purge_stale_ckpt_writes(end_time_);
 
   // Release whatever is still allocated; paid units up to now are kept.
-  for (InstanceId id : cloud_.live()) {
+  // Terminating erases from the live index, so walk a copy.
+  const std::vector<InstanceId> still_live = cloud_.live();
+  for (InstanceId id : still_live) {
     cloud_.terminate(id, end_time_);
   }
 

@@ -191,9 +191,10 @@ class JobEngine {
   // With aggregate_bandwidth == 0 every transfer runs at link speed for a
   // duration fixed when it starts. Otherwise transfers share the aggregate
   // fabric processor-style: each active transfer proceeds at
-  // min(link, aggregate / n); a single epoch-stamped guard event tracks the
-  // earliest projected completion and is re-armed whenever the active set
-  // changes.
+  // min(link, aggregate / n). One TransferGuard event, held in the queue's
+  // GuardSlot::Transfer, marks the earliest projected completion. It is
+  // re-armed in place whenever the active set changes and disarmed when the
+  // set empties, so the queue never holds a stale guard.
   bool shared_bandwidth() const {
     return config_.variability.aggregate_bandwidth_mb_per_s > 0.0;
   }
@@ -211,8 +212,9 @@ class JobEngine {
   // --- Scheduled checkpointing (CheckpointConfig::enabled()) ------------
   // Execution runs in segments punctuated by checkpoint writes on a shared
   // channel that mirrors the transfer fabric: active writes share
-  // ckpt_bandwidth_ processor-style and an epoch-stamped CheckpointGuard
-  // tracks the earliest projected completion. Exactly one exec event
+  // ckpt_bandwidth_ processor-style, and a CheckpointGuard held in
+  // GuardSlot::Checkpoint marks the earliest projected completion (re-armed
+  // in place, like the transfer guard). Exactly one exec event
   // (TaskCheckpoint xor ExecDone) is pending per running attempt; while a
   // write is in flight the task stalls (occupying its slot) and resumes when
   // the write commits. A killed attempt salvages only committed checkpoints;
@@ -283,7 +285,8 @@ class JobEngine {
   };
   std::vector<ActiveTransfer> transfers_;
   SimTime transfers_updated_ = 0.0;
-  std::uint64_t transfer_epoch_ = 0;
+  /// Reused by handle_transfer_guard for the transfers it retires.
+  std::vector<ActiveTransfer> finished_transfers_;
   /// Per-task segmented-execution state of the *current* attempt (valid only
   /// while `attempt` matches TaskRuntime::attempts). exec_total is the
   /// attempt's post-salvage execution demand; exec_done the seconds already
@@ -308,7 +311,8 @@ class JobEngine {
   std::vector<TaskCkptState> ckpt_states_;
   std::vector<ActiveCkptWrite> ckpt_writes_;
   SimTime ckpt_writes_updated_ = 0.0;
-  std::uint64_t ckpt_epoch_ = 0;
+  /// Reused by handle_checkpoint_guard for the writes it commits.
+  std::vector<ActiveCkptWrite> committed_writes_;
   /// Effective channel bandwidth (arbiter share; starts at the configured
   /// full channel) and the cooperative-staggering window.
   double ckpt_bandwidth_ = 0.0;

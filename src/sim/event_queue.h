@@ -5,6 +5,7 @@
 // its seed.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -29,8 +30,8 @@ enum class EventKind : std::uint8_t {
   /// instance id.
   InstanceDrain,
   /// Earliest projected completion among the shared-bandwidth transfers
-  /// (processor-sharing model). aux = transfer epoch; stale guards are
-  /// ignored.
+  /// (processor-sharing model). Lives in GuardSlot::Transfer, so at most one
+  /// is ever pending; payload and aux unused.
   TransferGuard,
   /// The per-dispatch scheduling overhead elapsed; the input transfer
   /// begins. payload = task id, aux = attempt.
@@ -55,9 +56,17 @@ enum class EventKind : std::uint8_t {
   /// as for ExecDone).
   TaskCheckpoint,
   /// Earliest projected completion among the shared-channel checkpoint
-  /// writes (processor-sharing model, mirroring TransferGuard). aux =
-  /// checkpoint epoch; stale guards are ignored.
+  /// writes (processor-sharing model, mirroring TransferGuard). Lives in
+  /// GuardSlot::Checkpoint; payload and aux unused.
   CheckpointGuard,
+};
+
+/// Re-armable singleton event slots. Each holds at most one pending event;
+/// re-arming a slot replaces its event in place instead of leaving a stale
+/// one behind in the heap.
+enum class GuardSlot : std::uint8_t {
+  Transfer,
+  Checkpoint,
 };
 
 struct Event {
@@ -70,15 +79,28 @@ struct Event {
   std::uint32_t aux = 0;
 };
 
-/// Min-heap over (time, seq).
+/// Min-heap over (time, seq), plus the GuardSlot singletons, which pop in
+/// the same (time, seq) order as heap events.
 class EventQueue {
  public:
   /// Schedules an event; `time` must be >= the last popped time.
   void schedule(SimTime time, EventKind kind, std::uint32_t payload,
                 std::uint32_t aux = 0);
 
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
+  /// Sets `slot`'s pending event to (`time`, `kind`), replacing any event
+  /// already armed there. Draws its sequence number from the counter
+  /// schedule() uses, so the event orders exactly as if it were scheduled
+  /// now. `time` must be >= the last popped time; `kind` must not be
+  /// tracked.
+  void arm(GuardSlot slot, SimTime time, EventKind kind);
+  /// Cancels `slot`'s pending event, if any.
+  void disarm(GuardSlot slot) { armed_[index(slot)] = false; }
+
+  bool empty() const { return heap_.empty() && !armed_[0] && !armed_[1]; }
+  std::size_t size() const {
+    return heap_.size() + static_cast<std::size_t>(armed_[0]) +
+           static_cast<std::size_t>(armed_[1]);
+  }
 
   /// Time of the earliest pending event. Requires non-empty.
   SimTime next_time() const;
@@ -107,8 +129,18 @@ class EventQueue {
   bool is_tracked(EventKind kind) const {
     return (tracked_mask_ & (1u << static_cast<std::uint32_t>(kind))) != 0;
   }
+  static std::size_t index(GuardSlot slot) {
+    return static_cast<std::size_t>(slot);
+  }
+  static constexpr std::size_t kSlotCount = 2;
+  static constexpr std::size_t kNoSlot = kSlotCount;
+  /// The armed slot whose event precedes the heap top and the other slot,
+  /// or kNoSlot when the heap top is the earliest pending event.
+  std::size_t leading_slot() const;
 
   std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::array<Event, kSlotCount> slots_{};
+  std::array<bool, kSlotCount> armed_{};
   /// Pending times of tracked-kind events, as an exact multiset mirror: the
   /// global (time, seq) pop order guarantees a popped tracked event's time
   /// equals this heap's minimum, so pop() can retire entries one-for-one.

@@ -78,24 +78,20 @@ std::vector<TaskId> FrameworkMaster::ready_queue_snapshot() const {
 
 void FrameworkMaster::register_instance(InstanceId instance,
                                         std::uint32_t slots) {
-  auto [it, inserted] = slots_.try_emplace(instance);
-  if (inserted) {
-    it->second.assign(slots, dag::kInvalidTask);
-  }
-}
-
-std::uint32_t FrameworkMaster::free_slots(InstanceId instance) const {
-  const auto it = slots_.find(instance);
-  if (it == slots_.end()) return 0;
-  return static_cast<std::uint32_t>(
-      std::count(it->second.begin(), it->second.end(), dag::kInvalidTask));
+  WIRE_REQUIRE(slots > 0, "an instance needs at least one slot");
+  if (instance >= slots_.size()) slots_.resize(instance + 1);
+  InstanceSlots& inst = slots_[instance];
+  if (!inst.tasks.empty()) return;
+  inst.tasks.assign(slots, dag::kInvalidTask);
+  inst.free = slots;
 }
 
 std::uint32_t FrameworkMaster::take_free_slot(InstanceId instance) const {
-  const auto it = slots_.find(instance);
-  WIRE_REQUIRE(it != slots_.end(), "instance not registered");
-  for (std::uint32_t s = 0; s < it->second.size(); ++s) {
-    if (it->second[s] == dag::kInvalidTask) return s;
+  WIRE_REQUIRE(instance < slots_.size() && !slots_[instance].tasks.empty(),
+               "instance not registered");
+  const std::vector<TaskId>& tasks = slots_[instance].tasks;
+  for (std::uint32_t s = 0; s < tasks.size(); ++s) {
+    if (tasks[s] == dag::kInvalidTask) return s;
   }
   WIRE_REQUIRE(false, "no free slot on instance");
   return 0;
@@ -103,12 +99,19 @@ std::uint32_t FrameworkMaster::take_free_slot(InstanceId instance) const {
 
 std::vector<TaskId> FrameworkMaster::tasks_on(InstanceId instance) const {
   std::vector<TaskId> out;
-  const auto it = slots_.find(instance);
-  if (it == slots_.end()) return out;
-  for (TaskId t : it->second) {
+  if (instance >= slots_.size()) return out;
+  for (TaskId t : slots_[instance].tasks) {
     if (t != dag::kInvalidTask) out.push_back(t);
   }
   return out;
+}
+
+void FrameworkMaster::release_slot(TaskId task, const TaskRuntime& rt) {
+  WIRE_CHECK(rt.instance < slots_.size(), "running task on unknown instance");
+  InstanceSlots& inst = slots_[rt.instance];
+  WIRE_CHECK(inst.tasks[rt.slot] == task, "running task not in its slot");
+  inst.tasks[rt.slot] = dag::kInvalidTask;
+  ++inst.free;
 }
 
 void FrameworkMaster::on_dispatch(TaskId task, InstanceId instance,
@@ -116,12 +119,14 @@ void FrameworkMaster::on_dispatch(TaskId task, InstanceId instance,
                                   double mem_reservation_mb) {
   TaskRuntime& rt = mutable_runtime(task);
   WIRE_REQUIRE(rt.phase == TaskPhase::Ready, "dispatch of non-ready task");
-  auto it = slots_.find(instance);
-  WIRE_REQUIRE(it != slots_.end(), "dispatch to unregistered instance");
-  WIRE_REQUIRE(slot < it->second.size(), "slot index out of range");
-  WIRE_REQUIRE(it->second[slot] == dag::kInvalidTask, "slot already occupied");
+  WIRE_REQUIRE(instance < slots_.size() && !slots_[instance].tasks.empty(),
+               "dispatch to unregistered instance");
+  InstanceSlots& inst = slots_[instance];
+  WIRE_REQUIRE(slot < inst.tasks.size(), "slot index out of range");
+  WIRE_REQUIRE(inst.tasks[slot] == dag::kInvalidTask, "slot already occupied");
 
-  it->second[slot] = task;
+  inst.tasks[slot] = task;
+  --inst.free;
   rt.phase = TaskPhase::Running;
   rt.occupancy_start = now;
   rt.exec_start = -1.0;
@@ -131,7 +136,7 @@ void FrameworkMaster::on_dispatch(TaskId task, InstanceId instance,
   ++rt.attempts;
   rt.mem_reservation_mb = mem_reservation_mb;
   if (mem_reservation_mb >= 0.0) {
-    mem_used_[instance] += mem_reservation_mb;
+    inst.mem_used += mem_reservation_mb;
   }
   if (store_ != nullptr) {
     store_->on_task_dispatched(task, instance, now, rt.attempts,
@@ -143,15 +148,14 @@ void FrameworkMaster::release_memory(TaskRuntime& rt, SimTime now) {
   if (rt.mem_reservation_mb < 0.0) return;
   mem_reserved_mb_seconds_ +=
       rt.mem_reservation_mb * (now - rt.occupancy_start);
-  auto it = mem_used_.find(rt.instance);
-  WIRE_CHECK(it != mem_used_.end(), "reservation on unknown instance");
-  it->second -= rt.mem_reservation_mb;
-  if (it->second < 1e-9) it->second = 0.0;  // absorb FP residue
+  WIRE_CHECK(rt.instance < slots_.size(), "reservation on unknown instance");
+  double& used = slots_[rt.instance].mem_used;
+  used -= rt.mem_reservation_mb;
+  if (used < 1e-9) used = 0.0;  // absorb FP residue
 }
 
 double FrameworkMaster::mem_used(InstanceId instance) const {
-  const auto it = mem_used_.find(instance);
-  return it == mem_used_.end() ? 0.0 : it->second;
+  return instance < slots_.size() ? slots_[instance].mem_used : 0.0;
 }
 
 void FrameworkMaster::set_true_peak_mem(TaskId task, double peak_mb) {
@@ -217,9 +221,7 @@ std::vector<TaskId> FrameworkMaster::on_complete(TaskId task, SimTime now) {
     mem_used_mb_seconds_ += rt.true_peak_mem_mb * (now - rt.occupancy_start);
   }
 
-  auto it = slots_.find(rt.instance);
-  WIRE_CHECK(it != slots_.end(), "completed task on unknown instance");
-  it->second[rt.slot] = dag::kInvalidTask;
+  release_slot(task, rt);
   // rt.instance is kept: the kickstart record names the hosting instance.
   if (store_ != nullptr) {
     store_->on_task_completed(task, rt.exec_time,
@@ -276,9 +278,10 @@ void FrameworkMaster::salvage_on_kill(TaskRuntime& rt, SimTime now,
 std::vector<TaskId> FrameworkMaster::resubmit_tasks_on(InstanceId instance,
                                                        SimTime now) {
   std::vector<TaskId> killed = tasks_on(instance);
-  auto it = slots_.find(instance);
-  if (it != slots_.end()) {
-    std::fill(it->second.begin(), it->second.end(), dag::kInvalidTask);
+  if (instance < slots_.size()) {
+    InstanceSlots& inst = slots_[instance];
+    std::fill(inst.tasks.begin(), inst.tasks.end(), dag::kInvalidTask);
+    inst.free = static_cast<std::uint32_t>(inst.tasks.size());
   }
   for (TaskId task : killed) {
     TaskRuntime& rt = mutable_runtime(task);
@@ -296,10 +299,7 @@ std::vector<TaskId> FrameworkMaster::resubmit_tasks_on(InstanceId instance,
 std::uint32_t FrameworkMaster::on_task_failed(TaskId task, SimTime now) {
   TaskRuntime& rt = mutable_runtime(task);
   WIRE_REQUIRE(rt.phase == TaskPhase::Running, "fault on non-running task");
-  auto it = slots_.find(rt.instance);
-  WIRE_CHECK(it != slots_.end(), "faulted task on unknown instance");
-  WIRE_CHECK(it->second[rt.slot] == task, "faulted task not in its slot");
-  it->second[rt.slot] = dag::kInvalidTask;
+  release_slot(task, rt);
 
   const double elapsed = now - rt.occupancy_start;
   wasted_slot_seconds_ += elapsed;
@@ -327,10 +327,7 @@ std::uint32_t FrameworkMaster::on_task_failed(TaskId task, SimTime now) {
 std::uint32_t FrameworkMaster::on_task_oom(TaskId task, SimTime now) {
   TaskRuntime& rt = mutable_runtime(task);
   WIRE_REQUIRE(rt.phase == TaskPhase::Running, "OOM on non-running task");
-  auto it = slots_.find(rt.instance);
-  WIRE_CHECK(it != slots_.end(), "OOM task on unknown instance");
-  WIRE_CHECK(it->second[rt.slot] == task, "OOM task not in its slot");
-  it->second[rt.slot] = dag::kInvalidTask;
+  release_slot(task, rt);
 
   const double elapsed = now - rt.occupancy_start;
   wasted_slot_seconds_ += elapsed;

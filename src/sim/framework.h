@@ -12,7 +12,6 @@
 #include <optional>
 #include <set>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "dag/workflow.h"
@@ -162,9 +161,12 @@ class FrameworkMaster {
   std::vector<dag::TaskId> quarantine(dag::TaskId task);
 
   // --- Slot bookkeeping ---
-  /// Registers an instance with `slots` task slots (idempotent).
+  /// Registers an instance with `slots` (> 0) task slots (idempotent).
   void register_instance(InstanceId instance, std::uint32_t slots);
-  std::uint32_t free_slots(InstanceId instance) const;
+  /// Free slots on `instance`, O(1); 0 if it is not registered.
+  std::uint32_t free_slots(InstanceId instance) const {
+    return instance < slots_.size() ? slots_[instance].free : 0;
+  }
   /// Index of a free slot on `instance`; requires free_slots > 0.
   std::uint32_t take_free_slot(InstanceId instance) const;
   std::vector<dag::TaskId> tasks_on(InstanceId instance) const;
@@ -225,6 +227,18 @@ class FrameworkMaster {
   /// Releases a runtime's booked reservation (slot is being freed) and
   /// accumulates the reserved-MB-seconds wastage numerator.
   void release_memory(TaskRuntime& rt, SimTime now);
+  /// Frees the slot `task` (running as `rt`) occupies.
+  void release_slot(dag::TaskId task, const TaskRuntime& rt);
+
+  /// One registered instance's slots. Unregistered ids have no slots.
+  struct InstanceSlots {
+    /// Occupant per slot; kInvalidTask = free.
+    std::vector<dag::TaskId> tasks;
+    /// Count of free entries in `tasks`.
+    std::uint32_t free = 0;
+    /// Memory booked by the occupants' reservations, MB.
+    double mem_used = 0.0;
+  };
 
   const dag::Workflow* workflow_;
   std::uint32_t first_fire_priority_;
@@ -234,7 +248,8 @@ class FrameworkMaster {
   // Dispatch order: (priority class, ready time, id). Class 0 = first-five.
   std::set<std::tuple<int, SimTime, dag::TaskId>> ready_queue_;
   std::vector<std::uint32_t> stage_priority_granted_;
-  std::unordered_map<InstanceId, std::vector<dag::TaskId>> slots_;
+  /// Indexed by InstanceId: CloudPool hands ids out densely from 0.
+  std::vector<InstanceSlots> slots_;
   MonitorStore* store_ = nullptr;
   std::size_t completed_ = 0;
   std::size_t quarantined_ = 0;
@@ -244,7 +259,6 @@ class FrameworkMaster {
   double wasted_slot_seconds_ = 0.0;
   double lost_work_seconds_ = 0.0;
   std::uint32_t oom_kills_ = 0;
-  std::unordered_map<InstanceId, double> mem_used_;
   double mem_reserved_mb_seconds_ = 0.0;
   double mem_used_mb_seconds_ = 0.0;
 };

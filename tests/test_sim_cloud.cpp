@@ -220,5 +220,85 @@ TEST(EventQueue, PopOnEmptyThrows) {
   EXPECT_THROW(q.next_time(), util::ContractViolation);
 }
 
+TEST(EventQueue, GuardSlotAndHeapEventTieBreakBySequence) {
+  // Heap event first, slot second: the heap event pops first.
+  EventQueue q;
+  q.schedule(10.0, EventKind::ExecDone, 7);
+  q.arm(GuardSlot::Transfer, 10.0, EventKind::TransferGuard);
+  EXPECT_EQ(q.pop().kind, EventKind::ExecDone);
+  EXPECT_EQ(q.pop().kind, EventKind::TransferGuard);
+  EXPECT_TRUE(q.empty());
+
+  // Slot first, heap event second: the slot pops first.
+  EventQueue r;
+  r.arm(GuardSlot::Transfer, 10.0, EventKind::TransferGuard);
+  r.schedule(10.0, EventKind::ExecDone, 7);
+  EXPECT_EQ(r.pop().kind, EventKind::TransferGuard);
+  EXPECT_EQ(r.pop().kind, EventKind::ExecDone);
+
+  // The two slots order against each other the same way.
+  EventQueue both;
+  both.arm(GuardSlot::Checkpoint, 3.0, EventKind::CheckpointGuard);
+  both.arm(GuardSlot::Transfer, 3.0, EventKind::TransferGuard);
+  EXPECT_EQ(both.pop().kind, EventKind::CheckpointGuard);
+  EXPECT_EQ(both.pop().kind, EventKind::TransferGuard);
+
+  // A slot still pops by time first: a later slot waits for earlier events.
+  EventQueue late;
+  late.arm(GuardSlot::Transfer, 1.0, EventKind::TransferGuard);
+  late.schedule(2.0, EventKind::ExecDone, 1);
+  late.arm(GuardSlot::Transfer, 3.0, EventKind::TransferGuard);
+  EXPECT_DOUBLE_EQ(late.pop().time, 2.0);
+  EXPECT_DOUBLE_EQ(late.pop().time, 3.0);
+}
+
+TEST(EventQueue, RearmReplacesAndDisarmCancels) {
+  EventQueue q;
+  q.arm(GuardSlot::Transfer, 20.0, EventKind::TransferGuard);
+  q.arm(GuardSlot::Transfer, 5.0, EventKind::TransferGuard);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 5.0);
+
+  // Re-arming draws a fresh sequence number: a heap event scheduled between
+  // the two arms now precedes the slot at the same time.
+  q.schedule(5.0, EventKind::ExecDone, 1);
+  q.arm(GuardSlot::Transfer, 5.0, EventKind::TransferGuard);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.pop().kind, EventKind::ExecDone);
+  EXPECT_EQ(q.pop().kind, EventKind::TransferGuard);
+  EXPECT_TRUE(q.empty());
+
+  q.arm(GuardSlot::Checkpoint, 8.0, EventKind::CheckpointGuard);
+  q.schedule(9.0, EventKind::ExecDone, 2);
+  q.disarm(GuardSlot::Checkpoint);
+  q.disarm(GuardSlot::Checkpoint);  // disarming an empty slot is a no-op
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pop().payload, 2u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, ArmedSlotAloneIsAPendingEvent) {
+  EventQueue q;
+  q.arm(GuardSlot::Checkpoint, 7.0, EventKind::CheckpointGuard);
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 7.0);
+  const Event e = q.pop();
+  EXPECT_EQ(e.kind, EventKind::CheckpointGuard);
+  EXPECT_DOUBLE_EQ(e.time, 7.0);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_THROW(q.next_time(), util::ContractViolation);
+}
+
+TEST(EventQueue, RejectsArmingInThePast) {
+  EventQueue q;
+  q.schedule(10.0, EventKind::ControlTick, 0);
+  q.pop();
+  EXPECT_THROW(q.arm(GuardSlot::Transfer, 5.0, EventKind::TransferGuard),
+               util::ContractViolation);
+  EXPECT_TRUE(q.empty());
+}
+
 }  // namespace
 }  // namespace wire::sim

@@ -3,9 +3,15 @@
 // bookkeeping, resubmission, and monitoring observations.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <map>
+#include <string>
+
 #include "dag/workflow.h"
 #include "sim/framework.h"
 #include "util/check.h"
+#include "util/rng.h"
 #include "workload/generators.h"
 
 namespace wire::sim {
@@ -215,6 +221,109 @@ TEST(FrameworkMaster, InvalidTransitionsThrow) {
   fm.on_dispatch(t, 0, 0, 0.0);
   EXPECT_THROW(fm.on_dispatch(t, 0, 1, 0.0), util::ContractViolation);
   EXPECT_THROW(fm.on_complete(2, 1.0), util::ContractViolation);
+}
+
+/// Drives a master through a random interleaving of registrations,
+/// dispatches, completions, transient faults, OOM kills and instance
+/// releases, checking after every step that each registered instance's O(1)
+/// free-slot count equals its slot count minus its occupants. Counts the
+/// checks made after each kind of step into `checked`.
+void run_free_slot_property(std::uint64_t seed,
+                            std::map<std::string, int>& checked) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  workload::RandomDagOptions dag_options;
+  dag_options.max_width = 16;
+  const dag::Workflow wf = workload::random_layered(dag_options, seed);
+  FrameworkMaster fm(wf);
+  util::Rng rng(seed ^ 0x5107u);
+  std::vector<std::uint32_t> slots;  // slot count per registered instance
+  std::vector<TaskId> awaiting_retry;
+  double now = 0.0;
+
+  auto check = [&](const char* step) {
+    ++checked[step];
+    for (InstanceId id = 0; id < slots.size(); ++id) {
+      ASSERT_EQ(fm.free_slots(id), slots[id] - fm.tasks_on(id).size())
+          << "instance " << id << " after " << step;
+    }
+  };
+  auto running = [&] {
+    std::vector<TaskId> out;
+    for (TaskId t = 0; t < wf.task_count(); ++t) {
+      if (fm.runtime(t).phase == TaskPhase::Running) out.push_back(t);
+    }
+    return out;
+  };
+
+  for (int step = 0; step < 400 && !fm.all_complete(); ++step) {
+    now += rng.uniform(0.0, 5.0);
+    const std::int64_t action = rng.uniform_int(0, 9);
+    if (slots.empty() || action == 0) {
+      const auto n = static_cast<std::uint32_t>(rng.uniform_int(1, 4));
+      fm.register_instance(static_cast<InstanceId>(slots.size()), n);
+      slots.push_back(n);
+      check("register");
+    } else if (action <= 3) {
+      if (!fm.has_ready()) continue;
+      const auto id =
+          static_cast<InstanceId>(rng.uniform_int(0, slots.size() - 1));
+      if (fm.free_slots(id) == 0) continue;
+      const double reservation =
+          rng.bernoulli(0.5) ? rng.uniform(0.0, 512.0) : -1.0;
+      fm.on_dispatch(fm.pop_ready(), id, fm.take_free_slot(id), now,
+                     reservation);
+      check("dispatch");
+    } else if (action <= 7) {
+      const std::vector<TaskId> live = running();
+      if (live.empty()) continue;
+      const TaskId t = live[rng.uniform_int(0, live.size() - 1)];
+      const TaskRuntime& rt = fm.runtime(t);
+      if (rt.exec_start < 0.0) {
+        fm.on_transfer_in_done(t, now);
+      } else if (rt.exec_time >= 0.0) {
+        fm.on_complete(t, now);
+        check("complete");
+      } else if (action == 4) {
+        fm.on_task_failed(t, now);
+        awaiting_retry.push_back(t);
+        check("fault");
+      } else if (action == 5) {
+        fm.on_task_oom(t, now);
+        awaiting_retry.push_back(t);
+        check("OOM kill");
+      } else {
+        fm.on_exec_done(t, now);
+      }
+    } else if (action == 8) {
+      for (TaskId t : awaiting_retry) fm.requeue_failed(t, now);
+      awaiting_retry.clear();
+    } else {
+      const auto id =
+          static_cast<InstanceId>(rng.uniform_int(0, slots.size() - 1));
+      fm.resubmit_tasks_on(id, now);
+      check("resubmit_tasks_on");
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(FrameworkMaster, FreeSlotCountMatchesOccupancyUnderRandomLifecycles) {
+  std::vector<std::uint64_t> seeds;
+  for (std::uint64_t s = 1; s <= 24; ++s) seeds.push_back(s);
+  if (const char* env = std::getenv("WIRE_FUZZ_SEED")) {
+    seeds.push_back(std::strtoull(env, nullptr, 10));
+  }
+  std::map<std::string, int> checked;
+  for (std::uint64_t seed : seeds) {
+    std::printf("free-slot property with seed %llu (replay: WIRE_FUZZ_SEED)\n",
+                static_cast<unsigned long long>(seed));
+    run_free_slot_property(seed, checked);
+    if (HasFatalFailure()) return;
+  }
+  for (const char* step : {"register", "dispatch", "complete", "fault",
+                           "OOM kill", "resubmit_tasks_on"}) {
+    EXPECT_GT(checked[step], 0) << step << " never ran; the sweep is vacuous";
+  }
 }
 
 }  // namespace

@@ -3,9 +3,15 @@
 // scheduling overhead.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+
+#include "exp/settings.h"
 #include "policies/baselines.h"
 #include "sim/driver.h"
 #include "workload/generators.h"
+#include "workload/profiles.h"
 
 namespace wire::sim {
 namespace {
@@ -174,6 +180,88 @@ TEST(Transfers, NoiseMakesTransfersVary) {
     hi = std::max(hi, rec.transfer_in_time);
   }
   EXPECT_GT(hi, lo * 1.05);  // the noise is visible
+}
+
+/// The §IV-B site (shared 300 MB/s fabric, 10 s dispatch overhead) in one of
+/// three configurations: quiet; crashes plus a static-interval checkpoint
+/// channel; the memory dimension on.
+CloudConfig golden_site(const std::string& mode,
+                        const workload::WorkflowProfile& profile) {
+  CloudConfig config = exp::paper_cloud(900.0);
+  if (mode == "crash+ckpt") {
+    config.faults.crash_rate_per_hour = 0.6;
+    config.faults.crash_notice_seconds = 120.0;
+    config.checkpoint.channel_bandwidth_mb_per_s = 400.0;
+    config.checkpoint.interval_policy = CheckpointConfig::IntervalPolicy::Static;
+    config.checkpoint.static_interval_seconds = 60.0;
+  } else if (mode == "memory") {
+    double need = 0.0;
+    for (const workload::StageProfile& s : profile.stages) {
+      need = std::max(need, s.mean_peak_mem_mb);
+    }
+    config.memory.instance_mem_mb =
+        1.2 * need * static_cast<double>(config.slots_per_instance);
+    config.memory.noise_sigma = 0.2;
+  }
+  return config;
+}
+
+/// Hexfloat signature of the outcome the fabric and checkpoint-channel guard
+/// events shape: one bit of drift in any double is a string diff.
+std::string fabric_signature(const RunResult& r) {
+  char buf[192];
+  std::snprintf(buf, sizeof(buf),
+                "makespan=%a cost=%a busy=%a ckpt=%u/%u", r.makespan,
+                r.cost_units, r.busy_slot_seconds, r.checkpoints_completed,
+                r.checkpoints_lost);
+  return buf;
+}
+
+TEST(Transfers, SharedFabricGoldensOnThePaperSite) {
+  // WIRE on Genome L and PageRank L with the aggregate-bandwidth fabric on,
+  // pinned bit for bit. Any change to how the processor-sharing guards are
+  // scheduled or retired must leave these strings untouched.
+  struct Cell {
+    workload::WorkflowProfile profile;
+    const char* mode;
+    const char* golden;
+  };
+  const workload::WorkflowProfile genome =
+      workload::epigenomics_profile(workload::Scale::Large);
+  const workload::WorkflowProfile pagerank =
+      workload::pagerank_profile(workload::Scale::Large);
+  const Cell cells[] = {
+      {genome, "quiet",
+       "makespan=0x1.703027b915e16p+11 cost=0x1.28p+5 "
+       "busy=0x1.8dce1ffb682b2p+16 ckpt=0/0"},
+      {genome, "crash+ckpt",
+       "makespan=0x1.7cb9dee2eab55p+11 cost=0x1.3p+5 "
+       "busy=0x1.8cad1405554ddp+16 ckpt=273/1"},
+      {genome, "memory",
+       "makespan=0x1.9ce3f4fdd88c1p+11 cost=0x1.48p+5 "
+       "busy=0x1.84698a7eea153p+16 ckpt=0/0"},
+      {pagerank, "quiet",
+       "makespan=0x1.2084dbe242bdcp+12 cost=0x1.cp+3 "
+       "busy=0x1.c7cd797afcce9p+14 ckpt=0/0"},
+      {pagerank, "crash+ckpt",
+       "makespan=0x1.48c672f7a61ebp+12 cost=0x1.ap+3 "
+       "busy=0x1.ca11f3ec591b9p+14 ckpt=269/0"},
+      {pagerank, "memory",
+       "makespan=0x1.051e11ff8e5cap+12 cost=0x1.ep+3 "
+       "busy=0x1.c2b270120d2b2p+14 ckpt=0/0"},
+  };
+  for (const Cell& cell : cells) {
+    const dag::Workflow wf = workload::make_workflow(cell.profile, 7);
+    const CloudConfig config = golden_site(cell.mode, cell.profile);
+    const auto policy = exp::make_policy(exp::PolicyKind::Wire);
+    RunOptions options;
+    options.seed = 11;
+    options.initial_instances =
+        exp::initial_instances(exp::PolicyKind::Wire, config);
+    const RunResult r = simulate(wf, *policy, config, options);
+    EXPECT_EQ(fabric_signature(r), cell.golden)
+        << cell.profile.name << " / " << cell.mode;
+  }
 }
 
 }  // namespace
