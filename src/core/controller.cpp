@@ -54,10 +54,6 @@ void WireController::on_run_start(const dag::Workflow& workflow,
                 : nullptr;
   run_state_.reset();
   lookahead_.reset(workflow);
-  hazard_exposure_hours_ = 0.0;
-  hazard_crashes_ = 0;
-  hazard_pending_releases_ = 0;
-  hazard_mark_ = 0.0;
   last_planned_pool_ = 0;
 }
 
@@ -137,43 +133,13 @@ sim::PoolCommand WireController::plan(const sim::MonitorSnapshot& snapshot) {
     analyze_path = lookahead_.last_path();
   }
 
-  // Crash-aware steering: refresh the controller-side hazard estimate from
-  // what the monitoring surface shows — exposure from the live instance rows,
-  // crashes as the removals the controller never ordered.
-  double hazard_per_hour = 0.0;
-  if (options_.crash_aware_steering) {
-    double exposed = 0.0;
-    for (const sim::InstanceObservation& inst : snapshot.instances) {
-      if (!inst.provisioning) exposed += 1.0;
-    }
-    hazard_exposure_hours_ += exposed * (snapshot.now - hazard_mark_) / 3600.0;
-    hazard_mark_ = snapshot.now;
-    if (snapshot.delta.exact) {
-      // Ordered releases (immediate kills, drains, boot cancels) surface as
-      // removals in a later delta; match them first so only the provider's
-      // own revocations count as crashes. A dropout tick's non-exact delta
-      // is skipped — its removals coalesce into the next exact one.
-      const std::uint64_t removed = snapshot.delta.instances_removed.size();
-      const std::uint64_t ordered = std::min(hazard_pending_releases_, removed);
-      hazard_crashes_ += removed - ordered;
-      hazard_pending_releases_ -= ordered;
-    }
-    if (hazard_exposure_hours_ > 0.0) {
-      hazard_per_hour =
-          static_cast<double>(hazard_crashes_) / hazard_exposure_hours_;
-    }
-  }
-
   // Plan + Execute: steer the pool (on the lookahead's scratch arena, which
   // also covers the ablation path — its buffers are free between ticks).
   std::uint32_t planned = 0;
-  sim::PoolCommand cmd = steer(*lookahead, snapshot, config_, &planned,
-                               options_.reclaim_draining,
-                               lookahead_.scratch().get(), hazard_per_hour);
+  sim::PoolCommand cmd =
+      steer(*lookahead, snapshot, config_, &planned,
+            options_.reclaim_draining, lookahead_.scratch().get());
   last_planned_pool_ = planned;
-  if (options_.crash_aware_steering) {
-    hazard_pending_releases_ += cmd.releases.size();
-  }
 
   if (memory_ && options_.report_memory_demand) {
     // The projected footprint of the *concurrent wave* — the Q_task prefix

@@ -71,14 +71,6 @@ struct WireOptions {
   /// oracle_estimator / history (their estimates have no learned config to
   /// select among).
   predict::BanditOptions bandit;
-  /// Crash-aware steering (extension beyond the paper): maintain a
-  /// controller-side crash-hazard estimate from the monitoring surface alone
-  /// (instance removals the controller did not order, over observed
-  /// instance-hours) and inflate Algorithm 3's planned pool so *expected
-  /// delivered* capacity under that hazard matches the packed demand (see
-  /// steer()). Off by default; on a reliable cloud the estimate stays 0 and
-  /// steering is bit-identical either way.
-  bool crash_aware_steering = false;
 };
 
 /// Per-iteration trace record (consumed by the overhead bench and tests).
@@ -175,14 +167,6 @@ class WireController final : public sim::ScalingPolicy {
   /// Persistent projected-schedule cache (the incremental Analyze phase).
   IncrementalLookahead lookahead_;
   std::function<void(const MapeTrace&)> trace_listener_;
-  /// Crash-aware steering state (options_.crash_aware_steering): hazard =
-  /// unordered removals / observed instance-hours, both integrated from the
-  /// snapshot stream. pending_releases_ matches ordered releases against
-  /// later removals so only the provider's own revocations count as crashes.
-  double hazard_exposure_hours_ = 0.0;
-  std::uint64_t hazard_crashes_ = 0;
-  std::uint64_t hazard_pending_releases_ = 0;
-  sim::SimTime hazard_mark_ = 0.0;
   std::uint32_t last_planned_pool_ = 0;
 };
 

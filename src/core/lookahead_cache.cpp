@@ -63,14 +63,12 @@ AnalyzePath IncrementalLookahead::classify(
       online != nullptr
           ? online->last_refit_stages()
           : (estimator.revision() != last_revision_
-                 ? options_.refit_fallback_stages + 1
+                 ? kRefitFallbackStages + 1
                  : 0);
-  if (refits > options_.refit_fallback_stages) return AnalyzePath::kRefitDrift;
+  if (refits > kRefitFallbackStages) return AnalyzePath::kRefitDrift;
   // `saw_misprediction` is the single wavefront-vs-delta pass in tick() —
   // classification no longer re-scans delta.completed on every quiet tick.
-  if (options_.fallback_on_misprediction && saw_misprediction) {
-    return AnalyzePath::kMisprediction;
-  }
+  if (saw_misprediction) return AnalyzePath::kMisprediction;
   return AnalyzePath::kIncremental;
 }
 
@@ -145,17 +143,11 @@ const LookaheadResult& IncrementalLookahead::tick(
     const predict::MemoryPredictor* memory) {
   ++stats_.ticks;
 
-  // Wavefront stamps exist solely for the misprediction fallback and its
-  // accuracy stats; with that lever off, skip their whole lifecycle —
-  // capture push_backs inside the projection, the delta scan here, and the
-  // stamp writes below (see LookaheadCacheStats for the stats contract).
-  const bool track_wavefront = options_.fallback_on_misprediction;
-
   // The single wavefront-vs-delta pass: projection-accuracy accounting and
   // the misprediction signal classification consumes (the classifier used to
   // re-scan delta.completed itself — one pass now serves both).
   bool saw_misprediction = false;
-  if (track_wavefront && primed_ && snapshot.delta.exact) {
+  if (primed_ && snapshot.delta.exact) {
     for (TaskId t : snapshot.delta.completed) {
       if (projected_complete_stamp_[t] == epoch_) {
         ++stats_.matched_completions;
@@ -220,10 +212,8 @@ const LookaheadResult& IncrementalLookahead::tick(
   scratch.projected_complete.clear();
   scratch.projected_running.clear();
   detail::WavefrontCapture capture;
-  if (track_wavefront) {
-    capture.projected_complete = &scratch.projected_complete;
-    capture.projected_running = &scratch.projected_running;
-  }
+  capture.projected_complete = &scratch.projected_complete;
+  capture.projected_running = &scratch.projected_running;
 
   detail::EmissionCap cap;
   if (options_.adaptive_horizon &&
@@ -280,13 +270,11 @@ const LookaheadResult& IncrementalLookahead::tick(
   }
 
   ++epoch_;
-  if (track_wavefront) {
-    for (TaskId t : scratch.projected_complete) {
-      projected_complete_stamp_[t] = epoch_;
-    }
-    for (TaskId t : scratch.projected_running) {
-      projected_running_stamp_[t] = epoch_;
-    }
+  for (TaskId t : scratch.projected_complete) {
+    projected_complete_stamp_[t] = epoch_;
+  }
+  for (TaskId t : scratch.projected_running) {
+    projected_running_stamp_[t] = epoch_;
   }
   primed_ = true;
   last_revision_ = estimator.revision();

@@ -27,11 +27,10 @@
 //   kPoolChanged    an instance lifecycle changed (boot completed, drain,
 //                   revocation notice, add/remove) — the wavefront's slot
 //                   topology moved, and such ticks also batch task churn.
-//   kRefitDrift     the predictor refit more stages this tick than the
-//                   configured threshold — the memo is mostly cold anyway.
+//   kRefitDrift     the predictor refit more than kRefitFallbackStages
+//                   stages this tick — the memo is mostly cold anyway.
 //   kMisprediction  a task completed that the previous projection did not
-//                   predict (actual beat the conservative minimum) —
-//                   optional, on by default.
+//                   predict (actual beat the conservative minimum).
 //   kIncremental    the fast path: memoized estimates.
 //
 // Dispatch drift (a task observed Running that the previous projection had
@@ -73,29 +72,23 @@ inline constexpr std::size_t kAnalyzePathCount = 7;
 
 const char* analyze_path_label(AnalyzePath path);
 
+/// Fall back (kRefitDrift) when more than this many stages refit in one
+/// observe() — the memo is mostly invalid and revalidating it per task
+/// costs more than the direct calls it saves.
+inline constexpr std::uint32_t kRefitFallbackStages = 8;
+
 struct LookaheadCacheOptions {
   /// Master switch; off reproduces the pre-cache controller exactly (every
   /// tick classified kDisabled, direct predictor calls).
   bool enabled = true;
-  /// Fall back when more than this many stages refit in one observe() — the
-  /// memo is mostly invalid and revalidating it per task costs more than the
-  /// direct calls it saves.
-  std::uint32_t refit_fallback_stages = 8;
-  /// Fall back when a completion beat the previous projection (see
-  /// kMisprediction). Conservative-minimum predictions make the projected
-  /// completion set a superset of the actual one in the common case, so this
-  /// stays cheap to leave on. Off also disables wavefront-stamp maintenance
-  /// entirely — capture, delta scans and stamp writes — since nothing reads
-  /// the stamps then; the projection-accuracy stats counters stay 0 (see
-  /// LookaheadCacheStats).
-  bool fallback_on_misprediction = true;
-  /// Second, independently ablatable lever: adaptive horizon capping. Stops
+  /// Independently ablatable lever: adaptive horizon capping. Stops
   /// emitting queue-tail entries once Algorithm 3's pool size provably
   /// saturates the binding instance ceiling (see detail::EmissionCap for the
   /// bound). Steering decisions are unchanged; the unclamped demand signal
   /// (PoolCommand::desired_pool) saturates at >= the ceiling instead of
   /// being exact, so this defaults off and must stay off for multi-tenant
-  /// runs whose arbiter consumes that signal.
+  /// runs whose arbiter consumes that signal. Bandit arms carry their own
+  /// setting, applied on arm switches (set_adaptive_horizon).
   bool adaptive_horizon = false;
   /// Plan-phase incrementality: on quiet (kIncremental) ticks, stamp the
   /// projected wavefront with per-entry deadline/start annotations and pack
@@ -107,7 +100,8 @@ struct LookaheadCacheOptions {
   /// non-exact, pool-changed, refit, misprediction, disabled) leave
   /// plan_valid unset and steering takes its from-scratch path; decisions
   /// are bit-identical either way (same Alg3Packer, same clamped doubles,
-  /// same order).
+  /// same order). Off isolates the Analyze memo (bench_overhead's
+  /// cached-analyze tripwire).
   bool plan_stamps = true;
 };
 
@@ -120,11 +114,6 @@ struct LookaheadCacheStats {
   std::uint64_t memo_misses = 0;
   /// Delta completions that matched / beat the previous projection, and
   /// newly Running tasks the previous projection never put on a slot.
-  /// Maintained only while `fallback_on_misprediction` is on: with it off
-  /// the wavefront stamps these compare against are not captured at all
-  /// (the per-tick capture push_backs, the delta scans and the stamp writes
-  /// are skipped wholesale — the classification never reads them), so all
-  /// three counters stay 0.
   std::uint64_t matched_completions = 0;
   std::uint64_t mispredicted_completions = 0;
   std::uint64_t drifted_dispatches = 0;

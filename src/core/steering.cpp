@@ -1,11 +1,42 @@
 #include "core/steering.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.h"
 
 namespace wire::core {
+
+namespace {
+
+/// The restart cost at risk if `inst` is released (see release_toward).
+double unsalvaged_cost_at_risk(const sim::InstanceObservation& inst,
+                               const sim::MonitorSnapshot& snapshot,
+                               const sim::CloudConfig& config, SunkCostAt at,
+                               double floor) {
+  // `+ 0.0` for kNow is exact, so both charging points share one formula.
+  const double until =
+      at == SunkCostAt::kChargeBoundary ? inst.time_to_next_charge : 0.0;
+  double cost = floor;
+  if (config.checkpoint.enabled()) {
+    // Scheduled checkpointing: a killed task restarts from its last
+    // committed checkpoint, so the cost at risk is the progress beyond the
+    // durable prefix — not a blanket fraction of everything.
+    for (dag::TaskId task : inst.running_tasks) {
+      const sim::TaskObservation& obs = snapshot.tasks[task];
+      cost = std::max(
+          cost, std::max(0.0, obs.elapsed + until - obs.checkpointed_exec));
+    }
+    return cost;
+  }
+  for (dag::TaskId task : inst.running_tasks) {
+    cost = std::max(cost, snapshot.tasks[task].elapsed + until);
+  }
+  // Legacy fractional checkpointing salvages that fraction of a killed
+  // task's progress, so only the remainder is genuinely at risk.
+  return cost * (1.0 - config.checkpoint_fraction);
+}
+
+}  // namespace
 
 std::uint32_t resize_pool(const std::vector<double>& upcoming,
                           double charging_unit,
@@ -42,8 +73,7 @@ sim::PoolCommand steer(const LookaheadResult& lookahead,
                        const sim::CloudConfig& config,
                        std::uint32_t* planned_size,
                        bool reclaim_draining,
-                       PlanScratch* scratch,
-                       double hazard_per_hour) {
+                       PlanScratch* scratch) {
   sim::PoolCommand cmd;
 
   // §III-D: Algorithm 3 assumes Q_task is non-empty; with an empty upcoming
@@ -94,20 +124,6 @@ sim::PoolCommand steer(const LookaheadResult& lookahead,
                                 config.restart_cost_fraction);
   }
 
-  if (hazard_per_hour > 0.0 && planned > 0) {
-    // Crash-aware steering: under an exponential hazard lambda, an instance
-    // bought for a charging unit u delivers only (1 - e^{-lambda u}) /
-    // (lambda u) of it in expectation before crashing. Inflating the planned
-    // pool by the reciprocal makes the *expected delivered* capacity match
-    // the packed demand instead of the nominal one. hazard 0 (the flag off,
-    // or no crash observed and no prior) leaves the plan bit-identical.
-    const double lambda_u =
-        hazard_per_hour / 3600.0 * config.charging_unit_seconds;
-    const double factor = lambda_u / (1.0 - std::exp(-lambda_u));
-    planned = static_cast<std::uint32_t>(
-        std::ceil(static_cast<double>(planned) * factor));
-  }
-
   if (planned_size != nullptr) *planned_size = planned;
 
   // Multi-tenant runs impose an external pool ceiling (the site arbiter's
@@ -116,26 +132,8 @@ sim::PoolCommand steer(const LookaheadResult& lookahead,
   // the share is neither requested (to be clipped) nor held (instances above
   // the ceiling drain at their charge boundaries once the share shrinks).
   cmd.desired_pool = planned;
-  // pool_cap == 0 is a genuine zero share (growth blocked), distinct from
-  // the kNoInstanceCap "no ceiling" sentinel. A zero share must not strand
-  // the job: while work remains, keep one already-live instance rather than
-  // draining the last capacity a growth-blocked tenant can never regrow.
-  std::uint32_t p = snapshot.pool_cap != sim::kNoInstanceCap
-                        ? std::min(planned, snapshot.pool_cap)
-                        : planned;
-  if (p == 0 && snapshot.incomplete_tasks > 0 && !snapshot.instances.empty()) {
-    p = 1;
-  }
-
-  // The pool at the start of the next interval: live instances that are not
-  // already draining (draining ones expire within this interval) and not
-  // under a revocation notice (the provider reclaims those on its own
-  // schedule — counting them as stable capacity would leave the next
-  // interval short exactly when replacements take a full lag to boot).
-  std::uint32_t m = 0;
-  for (const sim::InstanceObservation& inst : snapshot.instances) {
-    if (!inst.draining && !inst.revoking) ++m;
-  }
+  const std::uint32_t p = clamp_to_share(planned, snapshot);
+  const std::uint32_t m = stable_pool(snapshot);
 
   if (p > m) {
     std::uint32_t deficit = p - m;
@@ -155,71 +153,81 @@ sim::PoolCommand steer(const LookaheadResult& lookahead,
     cmd.grow = deficit;
     return cmd;
   }
-  if (p >= m) return cmd;
 
-  // Shrink: candidates are ready instances whose unit expires before the
-  // next interval and whose restart cost is under the threshold.
-  std::vector<VictimCandidate> local_candidates;
-  std::vector<VictimCandidate>& candidates =
-      scratch != nullptr ? scratch->candidates : local_candidates;
-  candidates.clear();
+  // The lookahead only charges tasks projected to survive the interval, but
+  // its occupancy predictions are conservative *minimums* ("about to
+  // complete"). A task that has already sunk real time into this instance
+  // would pay that cost again if the drain beats its actual completion, so
+  // the release decision also respects the observed sunk cost at the drain
+  // moment (elapsed so far + time to the charge boundary).
+  release_toward(p, m, snapshot, config, SunkCostAt::kChargeBoundary,
+                 &lookahead.restart_cost,
+                 scratch != nullptr ? &scratch->candidates : nullptr, cmd);
+  return cmd;
+}
+
+std::uint32_t stable_pool(const sim::MonitorSnapshot& snapshot) {
+  std::uint32_t m = 0;
   for (const sim::InstanceObservation& inst : snapshot.instances) {
-    // Revoking instances are excluded from `m`, so releasing one would
-    // double-count the capacity loss; the provider reclaims it anyway.
+    if (!inst.draining && !inst.revoking) ++m;
+  }
+  return m;
+}
+
+std::uint32_t clamp_to_share(std::uint32_t planned,
+                             const sim::MonitorSnapshot& snapshot) {
+  if (snapshot.pool_cap == sim::kNoInstanceCap) return planned;
+  std::uint32_t target = std::min(planned, snapshot.pool_cap);
+  if (target == 0 && snapshot.incomplete_tasks > 0 &&
+      !snapshot.instances.empty()) {
+    target = 1;
+  }
+  return target;
+}
+
+void release_toward(std::uint32_t target, std::uint32_t stable,
+                    const sim::MonitorSnapshot& snapshot,
+                    const sim::CloudConfig& config, SunkCostAt at,
+                    const std::unordered_map<sim::InstanceId, double>* floors,
+                    std::vector<VictimCandidate>* candidates,
+                    sim::PoolCommand& cmd) {
+  if (target >= stable) return;
+  std::vector<VictimCandidate> local_candidates;
+  std::vector<VictimCandidate>& victims =
+      candidates != nullptr ? *candidates : local_candidates;
+  victims.clear();
+  const double threshold =
+      config.restart_cost_fraction * config.charging_unit_seconds;
+  for (const sim::InstanceObservation& inst : snapshot.instances) {
     if (inst.provisioning || inst.draining || inst.revoking) continue;
     if (inst.time_to_next_charge > config.lag_seconds) continue;
-    double cost = 0.0;
-    const auto it = lookahead.restart_cost.find(inst.id);
-    if (it != lookahead.restart_cost.end()) cost = it->second;
-    // The lookahead only charges tasks projected to survive the interval,
-    // but its occupancy predictions are conservative *minimums* ("about to
-    // complete"). A task that has already sunk real time into this instance
-    // would pay that cost again if the drain beats its actual completion, so
-    // the release decision also respects the observed sunk cost at the drain
-    // moment (elapsed so far + time to the charge boundary).
-    if (config.checkpoint.enabled()) {
-      // Scheduled checkpointing: a killed task restarts from its last
-      // committed checkpoint, so the sunk cost at risk is the actual
-      // unsalvaged progress — elapsed beyond the durable prefix — not a
-      // blanket fraction of everything.
-      for (dag::TaskId task : inst.running_tasks) {
-        const sim::TaskObservation& obs = snapshot.tasks[task];
-        cost = std::max(cost,
-                        std::max(0.0, obs.elapsed + inst.time_to_next_charge -
-                                          obs.checkpointed_exec));
-      }
-    } else {
-      for (dag::TaskId task : inst.running_tasks) {
-        cost = std::max(cost, snapshot.tasks[task].elapsed +
-                                  inst.time_to_next_charge);
-      }
-      // Legacy fractional checkpointing salvages that fraction of a killed
-      // task's progress, so only the remainder is genuinely at risk.
-      cost *= 1.0 - config.checkpoint_fraction;
+    double floor = 0.0;
+    if (floors != nullptr) {
+      const auto it = floors->find(inst.id);
+      if (it != floors->end()) floor = it->second;
     }
-    if (cost > config.restart_cost_fraction * config.charging_unit_seconds) {
-      continue;
-    }
-    candidates.push_back(VictimCandidate{inst.id, cost});
+    const double cost =
+        unsalvaged_cost_at_risk(inst, snapshot, config, at, floor);
+    if (cost > threshold) continue;
+    victims.push_back(VictimCandidate{inst.id, cost});
   }
   // The comparator is a total order (instance ids are unique), so the victim
   // sequence is deterministic regardless of the standard library's sort
   // internals — a bare key comparison would leave equal-cost ties in an
   // implementation-defined order and silently break byte-identical replay.
-  std::sort(candidates.begin(), candidates.end(),
+  std::sort(victims.begin(), victims.end(),
             [](const VictimCandidate& a, const VictimCandidate& b) {
               if (a.restart_cost != b.restart_cost) {
                 return a.restart_cost < b.restart_cost;
               }
               return a.id < b.id;
             });
-  std::uint32_t remaining = m;
-  for (const VictimCandidate& c : candidates) {
-    if (remaining == p) break;
+  std::uint32_t remaining = stable;
+  for (const VictimCandidate& c : victims) {
+    if (remaining == target) break;
     cmd.releases.push_back(sim::Release{c.id, /*at_charge_boundary=*/true});
     --remaining;
   }
-  return cmd;
 }
 
 double planned_burn_units(const sim::MonitorSnapshot& snapshot,

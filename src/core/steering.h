@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "core/lookahead.h"
@@ -149,14 +150,11 @@ std::uint32_t resize_pool(const std::vector<double>& upcoming,
                           double leftover_fraction, double instance_mem_mb);
 
 /// Algorithm 2: forms the grow/release command toward the planned size,
-/// clamped to MonitorSnapshot::pool_cap when an external ceiling is imposed
-/// (multi-tenant arbiter share); the unclamped Algorithm-3 size is reported
-/// through `planned_size` and PoolCommand::desired_pool.
-/// Candidates for release are ready, non-draining instances whose charging
-/// unit expires before the next interval (r_j <= lag) with restart cost
-/// c_j <= leftover_fraction * u; victims are taken in ascending restart-cost
-/// order ("selects the instances to terminate to minimize task restart
-/// costs") and drained at their charge boundary.
+/// clamped to the external share (clamp_to_share); the unclamped
+/// Algorithm-3 size is reported through `planned_size` and
+/// PoolCommand::desired_pool. Shrinking goes through release_toward(), with
+/// the lookahead's per-instance restart cost c_j as the cost floor and the
+/// sunk cost charged at each instance's charge boundary.
 ///
 /// Plan-phase incrementality: when `lookahead.plan_valid` is set (the
 /// incremental lookahead stamped the wavefront on a quiet tick), the
@@ -171,20 +169,67 @@ std::uint32_t resize_pool(const std::vector<double>& upcoming,
 /// `scratch`, when non-null, lends reusable buffers for the occupancy
 /// rebuild and the victim-candidate list (persistent controllers); null
 /// keeps self-contained local buffers (tests, one-shot callers).
-///
-/// `hazard_per_hour` > 0 turns on crash-aware steering: the planned pool is
-/// inflated by lambda*u / (1 - e^{-lambda*u}) — the reciprocal of the
-/// expected fraction of a charging unit an instance delivers before an
-/// exponential crash at rate lambda — so expected delivered capacity matches
-/// the packed demand on a crashy cloud. 0 (the default) is bit-identical to
-/// hazard-blind steering.
 sim::PoolCommand steer(const LookaheadResult& lookahead,
                        const sim::MonitorSnapshot& snapshot,
                        const sim::CloudConfig& config,
                        std::uint32_t* planned_size = nullptr,
                        bool reclaim_draining = false,
-                       PlanScratch* scratch = nullptr,
-                       double hazard_per_hour = 0.0);
+                       PlanScratch* scratch = nullptr);
+
+// Algorithm 2's release discipline, shared by every policy that drains at
+// charge boundaries (steer() above, policies::DeadlinePolicy,
+// policies::ReactiveConservingPolicy). One implementation keeps the victim
+// filter, the salvage discount and the release order from drifting apart.
+
+/// Stable capacity at the start of the next interval: live instances that
+/// are neither draining (they expire within this interval) nor under a
+/// revocation notice (the provider reclaims those on its own schedule —
+/// counting them would leave the next interval short exactly when
+/// replacements take a full lag to boot, and releasing one would
+/// double-count the loss).
+std::uint32_t stable_pool(const sim::MonitorSnapshot& snapshot);
+
+/// Clamps a planned pool size to the externally imposed ceiling
+/// (MonitorSnapshot::pool_cap, a multi-tenant arbiter share), if any.
+/// pool_cap == 0 is a genuine zero share (all growth blocked), distinct from
+/// kNoInstanceCap (no ceiling). A zero share must not strand the job: while
+/// work remains, one already-live instance is kept rather than released — a
+/// blocked tenant can never regrow, so giving up the last instance would
+/// deadlock the run. (Arbiters floor shares at the live count, so this only
+/// arises under manually imposed caps.)
+std::uint32_t clamp_to_share(std::uint32_t planned,
+                             const sim::MonitorSnapshot& snapshot);
+
+/// When a release's sunk cost is charged.
+enum class SunkCostAt : std::uint8_t {
+  /// At the instance's charge boundary, when the drain takes effect
+  /// (elapsed + time_to_next_charge).
+  kChargeBoundary,
+  /// At the current tick (elapsed so far).
+  kNow,
+};
+
+/// Algorithm 2's shrink step: appends at-charge-boundary releases to `cmd`
+/// until `stable` (stable_pool()) is down to `target`, or the candidates run
+/// out. Candidates are ready, non-draining, non-revoking instances whose
+/// charging unit expires before the next interval (time_to_next_charge <=
+/// lag) and whose restart cost at risk is within restart_cost_fraction * u;
+/// victims go cheapest first, ties broken on id (a total order, so replay
+/// is byte-identical). The cost at risk is the largest unsalvaged progress
+/// among the instance's running tasks at the moment `at`, never below its
+/// floor: scheduled checkpointing (CheckpointConfig::enabled()) charges each
+/// task's progress beyond its last committed checkpoint, while the legacy
+/// model discounts the whole cost, floor included, by
+/// 1 - CloudConfig::checkpoint_fraction. This is the only place a policy
+/// reads the salvage model. `floors`, when non-null, supplies per-instance
+/// cost floors (the lookahead's restart_cost); absent instances floor at 0.
+/// `candidates`, when non-null, is a reusable buffer.
+void release_toward(std::uint32_t target, std::uint32_t stable,
+                    const sim::MonitorSnapshot& snapshot,
+                    const sim::CloudConfig& config, SunkCostAt at,
+                    const std::unordered_map<sim::InstanceId, double>* floors,
+                    std::vector<VictimCandidate>* candidates,
+                    sim::PoolCommand& cmd);
 
 /// Charging units that newly start in (now, now + horizon] for a row whose
 /// next unit begins `first_start_delta` seconds from now, recharging every

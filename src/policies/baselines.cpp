@@ -1,9 +1,9 @@
 #include "policies/baselines.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
+#include "core/steering.h"
 #include "util/check.h"
 
 namespace wire::policies {
@@ -22,24 +22,6 @@ std::uint32_t active_tasks(const sim::MonitorSnapshot& snapshot) {
   return running + static_cast<std::uint32_t>(snapshot.ready_queue.size());
 }
 
-/// Clamps a planned pool size to the externally imposed ceiling, if any.
-/// pool_cap == 0 is a genuine zero share (all growth blocked), distinct from
-/// kNoInstanceCap (no ceiling). A zero share blocks growth but must not
-/// strand the job: while work remains, one already-live instance is kept
-/// rather than released — a blocked tenant can never regrow, so giving up
-/// the last instance would deadlock the run. (Arbiters floor shares at the
-/// live count, so this only arises under manually imposed caps.)
-std::uint32_t clamp_to_cap(std::uint32_t planned,
-                           const sim::MonitorSnapshot& snapshot) {
-  if (snapshot.pool_cap == sim::kNoInstanceCap) return planned;
-  std::uint32_t target = std::min(planned, snapshot.pool_cap);
-  if (target == 0 && snapshot.incomplete_tasks > 0 &&
-      !snapshot.instances.empty()) {
-    target = 1;
-  }
-  return target;
-}
-
 /// Reactive target pool size for a given load.
 std::uint32_t reactive_target(const sim::MonitorSnapshot& snapshot,
                               const sim::CloudConfig& config) {
@@ -48,48 +30,6 @@ std::uint32_t reactive_target(const sim::MonitorSnapshot& snapshot,
     return snapshot.incomplete_tasks > 0 ? 1u : 0u;
   }
   return (active + config.slots_per_instance - 1) / config.slots_per_instance;
-}
-
-/// Stable capacity at the next interval: live instances that are neither
-/// draining nor under a revocation notice (the provider reclaims announced
-/// instances on its own schedule, so they must not be counted).
-std::uint32_t live_non_draining(const sim::MonitorSnapshot& snapshot) {
-  std::uint32_t m = 0;
-  for (const sim::InstanceObservation& inst : snapshot.instances) {
-    if (!inst.draining && !inst.revoking) ++m;
-  }
-  return m;
-}
-
-/// Maximum observed elapsed occupancy among an instance's running tasks —
-/// the monitorable stand-in for the restart cost c_j.
-double observed_sunk_cost(const sim::InstanceObservation& inst,
-                          const sim::MonitorSnapshot& snapshot) {
-  double cost = 0.0;
-  for (dag::TaskId task : inst.running_tasks) {
-    cost = std::max(cost, snapshot.tasks[task].elapsed);
-  }
-  return cost;
-}
-
-/// Restart cost at risk if the instance is released, under the run's
-/// checkpointing model. Scheduled checkpointing charges each task's actual
-/// unsalvaged progress (elapsed beyond the last committed checkpoint); the
-/// legacy fractional model discounts the blanket sunk cost instead.
-double sunk_cost_at_risk(const sim::InstanceObservation& inst,
-                         const sim::MonitorSnapshot& snapshot,
-                         const sim::CloudConfig& config) {
-  if (config.checkpoint.enabled()) {
-    double cost = 0.0;
-    for (dag::TaskId task : inst.running_tasks) {
-      const sim::TaskObservation& obs = snapshot.tasks[task];
-      cost = std::max(cost,
-                      std::max(0.0, obs.elapsed - obs.checkpointed_exec));
-    }
-    return cost;
-  }
-  return observed_sunk_cost(inst, snapshot) *
-         (1.0 - config.checkpoint_fraction);
 }
 
 }  // namespace
@@ -108,7 +48,7 @@ void StaticPolicy::on_run_start(const dag::Workflow& /*workflow*/,
 sim::PoolCommand StaticPolicy::plan(const sim::MonitorSnapshot& snapshot) {
   sim::PoolCommand cmd;
   cmd.desired_pool = size_;
-  const std::uint32_t target = clamp_to_cap(size_, snapshot);
+  const std::uint32_t target = core::clamp_to_share(size_, snapshot);
   const std::uint32_t live =
       static_cast<std::uint32_t>(snapshot.instances.size());
   if (live < target) cmd.grow = target - live;
@@ -124,8 +64,9 @@ sim::PoolCommand PureReactivePolicy::plan(
     const sim::MonitorSnapshot& snapshot) {
   sim::PoolCommand cmd;
   cmd.desired_pool = reactive_target(snapshot, config_);
-  const std::uint32_t target = clamp_to_cap(cmd.desired_pool, snapshot);
-  const std::uint32_t m = live_non_draining(snapshot);
+  const std::uint32_t target =
+      core::clamp_to_share(cmd.desired_pool, snapshot);
+  const std::uint32_t m = core::stable_pool(snapshot);
   if (target > m) {
     cmd.grow = target - m;
     return cmd;
@@ -169,43 +110,17 @@ sim::PoolCommand ReactiveConservingPolicy::plan(
     const sim::MonitorSnapshot& snapshot) {
   sim::PoolCommand cmd;
   cmd.desired_pool = reactive_target(snapshot, config_);
-  const std::uint32_t target = clamp_to_cap(cmd.desired_pool, snapshot);
-  const std::uint32_t m = live_non_draining(snapshot);
+  const std::uint32_t target =
+      core::clamp_to_share(cmd.desired_pool, snapshot);
+  const std::uint32_t m = core::stable_pool(snapshot);
   if (target > m) {
     cmd.grow = target - m;
     return cmd;
   }
-  if (target >= m) return cmd;
-
-  // Steering-policy release discipline: drain at the charge boundary, only
-  // when the unit expires before the next interval and the observed sunk
-  // cost is under the threshold.
-  struct Candidate {
-    sim::InstanceId id;
-    double sunk;
-  };
-  std::vector<Candidate> candidates;
-  for (const sim::InstanceObservation& inst : snapshot.instances) {
-    if (inst.provisioning || inst.draining || inst.revoking) continue;
-    if (inst.time_to_next_charge > config_.lag_seconds) continue;
-    const double sunk = sunk_cost_at_risk(inst, snapshot, config_);
-    if (sunk >
-        config_.restart_cost_fraction * config_.charging_unit_seconds) {
-      continue;
-    }
-    candidates.push_back(Candidate{inst.id, sunk});
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.sunk != b.sunk) return a.sunk < b.sunk;
-              return a.id < b.id;
-            });
-  std::uint32_t remaining = m;
-  for (const Candidate& c : candidates) {
-    if (remaining == target) break;
-    cmd.releases.push_back(sim::Release{c.id, /*at_charge_boundary=*/true});
-    --remaining;
-  }
+  // Steering-policy release discipline, with the sunk cost charged as
+  // observed now (steer() projects it to the charge boundary instead).
+  core::release_toward(target, m, snapshot, config_, core::SunkCostAt::kNow,
+                       /*floors=*/nullptr, /*candidates=*/nullptr, cmd);
   return cmd;
 }
 

@@ -521,6 +521,63 @@ TEST(LookaheadDifferential, SteadyStateExercisesTheIncrementalPath) {
       << "steady-state run never exercised stamped steering";
 }
 
+TEST(LookaheadDifferential, UnprojectedCompletionFallsBackAsMisprediction) {
+  // An exact delta that completes a task the previous projection did not
+  // stamp complete (the actual beat the conservative estimate) must classify
+  // kMisprediction, be counted, and still equal the from-scratch reference.
+  const dag::Workflow wf = workload::linear_workflow(2, 2, 300.0);
+  predict::TaskPredictor predictor(wf);
+  const CloudConfig config = scenario_config(Scenario::kReliable);
+  MonitorSnapshot snap;
+  snap.tasks.assign(wf.task_count(), sim::TaskObservation{});
+  for (const dag::TaskSpec& t : wf.tasks()) {
+    snap.tasks[t.id].input_mb = t.input_mb;
+  }
+  // Tick 1: task 0 done in 300 s, task 1 ten seconds into its run — the
+  // projection expects it to hold its slot well past the 30 s horizon.
+  snap.now = 300.0;
+  snap.incomplete_tasks = static_cast<std::uint32_t>(wf.task_count()) - 1;
+  snap.tasks[0].phase = TaskPhase::Completed;
+  snap.tasks[0].exec_time = 300.0;
+  snap.tasks[1].phase = TaskPhase::Running;
+  snap.tasks[1].instance = 0;
+  snap.tasks[1].occupancy_start = 290.0;
+  snap.tasks[1].elapsed = 10.0;
+  sim::InstanceObservation inst;
+  inst.id = 0;
+  inst.time_to_next_charge = 100.0;
+  inst.free_slots = 1;
+  inst.running_tasks = {1};
+  snap.instances = {inst};
+
+  IncrementalLookahead cache;
+  cache.reset(wf);
+  predictor.observe(snap);
+  (void)cache.tick(wf, snap, predictor, &predictor, config, nullptr);
+  ASSERT_EQ(cache.last_path(), AnalyzePath::kFirstTick);
+
+  // Tick 2: an exact delta in which task 1 has already completed.
+  snap.now = 330.0;
+  --snap.incomplete_tasks;
+  snap.tasks[1].phase = TaskPhase::Completed;
+  snap.tasks[1].exec_time = 40.0;
+  snap.instances[0].free_slots = 2;
+  snap.instances[0].running_tasks.clear();
+  snap.instances[0].time_to_next_charge = 70.0;
+  snap.delta.exact = true;
+  snap.delta.completed = {1};
+  snap.delta.phase_changed = {1};
+  predictor.observe(snap);
+  const LookaheadResult& result =
+      cache.tick(wf, snap, predictor, &predictor, config, nullptr);
+  EXPECT_EQ(cache.last_path(), AnalyzePath::kMisprediction);
+  EXPECT_EQ(cache.stats().mispredicted_completions, 1u);
+  EXPECT_EQ(cache.stats().matched_completions, 0u);
+  EXPECT_FALSE(result.plan_valid);
+  expect_lookahead_eq(result,
+                      simulate_interval(wf, snap, predictor, config));
+}
+
 TEST(LookaheadDifferential, EnvironmentSeedRuns) {
   const char* env = std::getenv("WIRE_FUZZ_SEED");
   if (env == nullptr) GTEST_SKIP() << "WIRE_FUZZ_SEED not set";

@@ -124,6 +124,55 @@ TEST(Deadline, AheadOfScheduleReleases) {
   EXPECT_LE(r.makespan, 2400.0);
 }
 
+TEST(Deadline, RevokingInstanceIsNeitherCapacityNorVictim) {
+  // An instance under a revocation notice is already written off: the
+  // provider reclaims it on its own schedule. Counting it as stable capacity
+  // under-grows the pool, and releasing it double-counts the loss. The row
+  // here is the cheapest possible victim (idle, unit expiring before the
+  // next interval), so a policy that does not exclude it picks it.
+  const sim::CloudConfig config = cloud();
+  const auto snapshot = [](const dag::Workflow& wf) {
+    sim::MonitorSnapshot snap;
+    snap.tasks.assign(wf.task_count(), sim::TaskObservation{});
+    snap.incomplete_tasks = static_cast<std::uint32_t>(wf.task_count());
+    for (dag::TaskId t = 0; t < wf.task_count(); ++t) {
+      snap.tasks[t].phase = sim::TaskPhase::Ready;
+      snap.ready_queue.push_back(t);
+    }
+    snap.ready_queue.erase(snap.ready_queue.begin());
+    snap.tasks[0].phase = sim::TaskPhase::Running;
+    snap.tasks[0].elapsed = 10.0;
+    snap.tasks[0].instance = 0;
+    sim::InstanceObservation stable;
+    stable.id = 0;
+    stable.time_to_next_charge = 50.0;
+    stable.running_tasks = {0};
+    sim::InstanceObservation revoking;
+    revoking.id = 1;
+    revoking.revoking = true;
+    revoking.time_to_next_charge = 10.0;
+    snap.instances = {stable, revoking};
+    return snap;
+  };
+
+  // One task: the plan is one instance, which the stable row provides.
+  const dag::Workflow single = workload::linear_workflow(1, 1, 300.0);
+  DeadlinePolicy relaxed(21600.0);
+  relaxed.on_run_start(single, config);
+  const sim::PoolCommand hold = relaxed.plan(snapshot(single));
+  EXPECT_TRUE(hold.releases.empty()) << "released a revoking instance";
+  EXPECT_EQ(hold.grow, 0u);
+
+  // Eight tasks past the point of no return: the plan is the useful maximum
+  // of two instances, and only one of the live rows will still be there.
+  const dag::Workflow wide = workload::linear_workflow(1, 8, 300.0);
+  DeadlinePolicy urgent(30.0);
+  urgent.on_run_start(wide, config);
+  const sim::PoolCommand grow = urgent.plan(snapshot(wide));
+  EXPECT_TRUE(grow.releases.empty());
+  EXPECT_EQ(grow.grow, 1u) << "counted a revoking instance as capacity";
+}
+
 TEST(Deadline, HistoryArchiveCoversUnstartedStages) {
   // Deep DAG (12 sequential PageRank stages): online estimates see no work
   // in unstarted stages (policy 1), so the controller under-provisions and

@@ -1,8 +1,8 @@
 // Scheduled-checkpointing suite (the hazard-driven cooperative checkpoint
 // subsystem): interval policy math, hazard-estimator convergence to the
 // configured crash rate, deterministic salvage through explicit checkpoint
-// events, window deferral, checkpoint-aware victim selection, crash-aware
-// steering inflation, and the differential chaos sweep proving that
+// events, window deferral, checkpoint-aware victim selection, and the
+// differential chaos sweep proving that
 // scheduled-checkpoint runs are bit-replayable from their recorded
 // FaultTrace (the subsystem draws no RNG of its own).
 #include <gtest/gtest.h>
@@ -320,47 +320,6 @@ TEST(CheckpointSched, VictimSelectionChargesUnsalvagedProgress) {
   legacy.checkpoint.channel_bandwidth_mb_per_s = 0.0;
   const PoolCommand none = core::steer(lookahead, snap, legacy);
   EXPECT_TRUE(none.releases.empty());
-}
-
-// Crash-aware steering: a positive hazard estimate inflates the planned
-// pool by lambda*u / (1 - exp(-lambda*u)) so expected delivered capacity
-// matches the packed demand; zero hazard is bit-identical to the baseline.
-TEST(CheckpointSched, CrashAwareSteeringInflatesPlannedPool) {
-  core::LookaheadResult lookahead;
-  // 8 ready tasks of 600 s each: planned p = 8 on a 1-slot instance type.
-  for (dag::TaskId t = 0; t < 8; ++t) {
-    lookahead.upcoming.push_back(
-        core::UpcomingTask{600.0, t, /*on_slot=*/false, 0.0});
-  }
-  MonitorSnapshot snap;
-  snap.incomplete_tasks = 8;
-  snap.tasks.assign(8, TaskObservation{});
-  for (auto& obs : snap.tasks) obs.phase = TaskPhase::Ready;
-  CloudConfig config;
-  config.lag_seconds = 180.0;
-  config.charging_unit_seconds = 900.0;
-  config.slots_per_instance = 1;
-
-  std::uint32_t planned_plain = 0;
-  (void)core::steer(lookahead, snap, config, &planned_plain);
-  ASSERT_GT(planned_plain, 0u);
-
-  std::uint32_t planned_zero = 0;
-  (void)core::steer(lookahead, snap, config, &planned_zero,
-                    /*reclaim_draining=*/false, nullptr,
-                    /*hazard_per_hour=*/0.0);
-  EXPECT_EQ(planned_zero, planned_plain);
-
-  const double hazard = 2.0;  // crashes per instance-hour
-  std::uint32_t planned_hazard = 0;
-  (void)core::steer(lookahead, snap, config, &planned_hazard,
-                    /*reclaim_draining=*/false, nullptr, hazard);
-  const double lambda_u = hazard / 3600.0 * config.charging_unit_seconds;
-  const double factor = lambda_u / (1.0 - std::exp(-lambda_u));
-  EXPECT_EQ(planned_hazard,
-            static_cast<std::uint32_t>(std::ceil(
-                static_cast<double>(planned_plain) * factor)));
-  EXPECT_GT(planned_hazard, planned_plain);
 }
 
 // The engine-side hazard estimator converges toward the configured crash
