@@ -8,6 +8,12 @@
 // sweep doubles as a large-scale differential check: a windowed cell whose
 // report diverges from its reference fails the bench.
 //
+// Full mode ends with windowed-only columns (2,048 and 10,000 tenants). The
+// sequential reference loop is quadratic at that size, so those cells have
+// no byte-identity partner; they record how the driver's own cost per serial
+// event (wall time minus the tenants' plan() time, over the serial events)
+// holds up as the open-tenant population grows.
+//
 // `--smoke` runs one reduced tenant-count column as the CI tripwire: asserts
 // byte-identical reports and emits the JSON series. Exits nonzero on
 // violation.
@@ -19,7 +25,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -29,6 +37,7 @@
 #include "ensemble/report.h"
 #include "exp/settings.h"
 #include "sim/config.h"
+#include "sim/scaling_policy.h"
 #include "workload/profiles.h"
 
 namespace {
@@ -66,6 +75,31 @@ ensemble::ArrivalProcess dense_stream(std::uint32_t jobs) {
   return ensemble::ArrivalProcess::fixed_trace(std::move(trace), kSeedRoot);
 }
 
+/// Adds the wall time of a tenant policy's plan() calls to `plan_s`, so a
+/// cell can separate the driver's own time from the tenants' decisions.
+class PlanTimer final : public sim::ScalingPolicy {
+ public:
+  PlanTimer(std::unique_ptr<sim::ScalingPolicy> inner, double& plan_s)
+      : inner_(std::move(inner)), plan_s_(plan_s) {}
+  std::string name() const override { return inner_->name(); }
+  void on_run_start(const dag::Workflow& workflow,
+                    const sim::CloudConfig& config) override {
+    inner_->on_run_start(workflow, config);
+  }
+  sim::PoolCommand plan(const sim::MonitorSnapshot& snapshot) override {
+    const auto start = std::chrono::steady_clock::now();
+    sim::PoolCommand command = inner_->plan(snapshot);
+    plan_s_ += std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+    return command;
+  }
+
+ private:
+  std::unique_ptr<sim::ScalingPolicy> inner_;
+  double& plan_s_;
+};
+
 struct CellResult {
   std::uint32_t tenants = 0;
   bool windowed = false;  // false = the shards == 0 reference loop
@@ -77,6 +111,11 @@ struct CellResult {
   /// Largest concurrently live tenant population seen at any sample — the
   /// arbitration fan-in the cell actually sustained.
   std::uint32_t peak_live_tenants = 0;
+  /// Wall time outside the tenants' plan() calls per site sample: the
+  /// driver's cost per serial event in windowed cells.
+  double driver_us_per_sample = 0.0;
+  /// Whether the cell was checked against the reference loop.
+  bool differential = true;
   double speedup_vs_sequential = 0.0;
   ensemble::EnsembleReport report;
 };
@@ -93,12 +132,15 @@ CellResult run_cell(std::uint32_t tenants, bool windowed) {
   CellResult result;
   result.tenants = tenants;
   result.windowed = windowed;
+  double plan_s = 0.0;
   ensemble::EnsembleDriver driver(
       {workload::tpch6_profile(workload::Scale::Small),
        workload::pagerank_profile(workload::Scale::Small)},
       dense_stream(tenants),
-      exp::policy_factory(exp::PolicyKind::PureReactive), scale_site(),
-      options);
+      [inner = exp::policy_factory(exp::PolicyKind::PureReactive), &plan_s] {
+        return std::make_unique<PlanTimer>(inner(), plan_s);
+      },
+      scale_site(), options);
   driver.set_site_listener([&result](const ensemble::SiteSample& sample) {
     ++result.samples;
     result.peak_live_tenants =
@@ -110,6 +152,10 @@ CellResult run_cell(std::uint32_t tenants, bool windowed) {
   result.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)
                        .count();
+  if (result.samples > 0) {
+    result.driver_us_per_sample = (result.wall_ms * 1e3 - plan_s * 1e6) /
+                                  static_cast<double>(result.samples);
+  }
   return result;
 }
 
@@ -122,7 +168,7 @@ void write_json(const std::vector<CellResult>& cells, bool smoke) {
     std::printf("WARNING: cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"scale\",\n  \"schema\": 2,\n");
+  std::fprintf(f, "{\n  \"bench\": \"scale\",\n  \"schema\": 3,\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
   std::fprintf(f, "  \"seed_root\": %llu,\n  \"cells\": [\n",
                static_cast<unsigned long long>(kSeedRoot));
@@ -132,16 +178,27 @@ void write_json(const std::vector<CellResult>& cells, bool smoke) {
         f,
         "    {\"tenants\": %u, \"loop\": \"%s\", \"wall_ms\": %.17g, "
         "\"samples\": %llu, \"peak_live_tenants\": %u, "
+        "\"driver_us_per_sample\": %.17g, \"differential\": %s, "
         "\"speedup_vs_sequential\": %.17g, \"horizon_s\": %.17g, "
         "\"site_utilization\": %.17g}%s\n",
         c.tenants, c.windowed ? "windowed" : "reference", c.wall_ms,
         static_cast<unsigned long long>(c.samples), c.peak_live_tenants,
+        c.driver_us_per_sample, c.differential ? "true" : "false",
         c.speedup_vs_sequential, c.report.horizon_seconds,
         c.report.site_utilization, i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("(scale trajectory written to %s)\n", path.c_str());
+}
+
+void print_cell(const CellResult& c) {
+  std::printf(
+      "  tenants=%-5u loop=%-9s wall=%9.1f ms  samples=%llu  peak-live=%u  "
+      "driver=%.2f us/%s\n",
+      c.tenants, c.windowed ? "windowed" : "reference", c.wall_ms,
+      static_cast<unsigned long long>(c.samples), c.peak_live_tenants,
+      c.driver_us_per_sample, c.windowed ? "serial-event" : "event");
 }
 
 /// Runs one tenant-count column: the reference loop, then the windowed loop,
@@ -154,13 +211,7 @@ int run_column(std::uint32_t tenants, std::vector<CellResult>* cells) {
                          windowed.report.render() == reference.report.render();
   windowed.speedup_vs_sequential =
       windowed.wall_ms > 0.0 ? reference.wall_ms / windowed.wall_ms : 0.0;
-  for (const CellResult* c : {&reference, &windowed}) {
-    std::printf(
-        "  tenants=%-5u loop=%-9s wall=%9.1f ms  samples=%llu  "
-        "peak-live=%u\n",
-        tenants, c->windowed ? "windowed" : "reference", c->wall_ms,
-        static_cast<unsigned long long>(c->samples), c->peak_live_tenants);
-  }
+  for (const CellResult* c : {&reference, &windowed}) print_cell(*c);
   std::printf("  speedup=%.2fx%s\n", windowed.speedup_vs_sequential,
               identical ? "" : "  REPORT-DIVERGENCE");
   cells->push_back(std::move(reference));
@@ -169,6 +220,18 @@ int run_column(std::uint32_t tenants, std::vector<CellResult>* cells) {
   std::printf(
       "    FAIL: windowed report differs from the sequential reference\n");
   return 1;
+}
+
+/// Runs one windowed-only column: no reference partner, so no differential
+/// check.
+void run_windowed_column(std::uint32_t tenants,
+                         std::vector<CellResult>* cells) {
+  CellResult windowed = run_cell(tenants, /*windowed=*/true);
+  windowed.differential = false;
+  print_cell(windowed);
+  std::printf("  (windowed only: the sequential reference loop is quadratic "
+              "at this size, so this column has no byte-identity partner)\n");
+  cells->push_back(std::move(windowed));
 }
 
 int run_smoke() {
@@ -195,6 +258,10 @@ int main(int argc, char** argv) {
   std::vector<CellResult> cells;
   for (std::uint32_t tenants : {256u, 1024u}) {
     rc |= run_column(tenants, &cells);
+    std::printf("\n");
+  }
+  for (std::uint32_t tenants : {2048u, 10000u}) {
+    run_windowed_column(tenants, &cells);
     std::printf("\n");
   }
   // The headline claim of the sweep: the big column really sustains a

@@ -25,18 +25,19 @@ std::vector<ArbiterStrategy> all_strategies() {
 
 namespace {
 
-/// Tenant indices in FIFO order: by arrival time, then job id. Rows usually
-/// come already in that order (the ensemble driver keeps them so), which an
-/// O(n) check detects; a strictly increasing sequence is the unique sorted
-/// order, so returning the identity then is exact.
-std::vector<std::size_t> fifo_order(const std::vector<TenantDemand>& tenants) {
+/// Fills `order` with the tenant indices in FIFO order: by arrival time,
+/// then job id. Rows usually come already in that order, which an O(n) check
+/// detects; a strictly increasing sequence is the unique sorted order, so
+/// keeping the identity then is exact.
+void fifo_order(const std::vector<TenantDemand>& tenants,
+                std::vector<std::size_t>& order) {
   const auto before = [&](std::size_t a, std::size_t b) {
     if (tenants[a].arrival_seconds != tenants[b].arrival_seconds) {
       return tenants[a].arrival_seconds < tenants[b].arrival_seconds;
     }
     return tenants[a].job < tenants[b].job;
   };
-  std::vector<std::size_t> order(tenants.size());
+  order.resize(tenants.size());
   std::iota(order.begin(), order.end(), 0);
   const auto unordered = [&](std::size_t a, std::size_t b) {
     return !before(a, b);
@@ -45,7 +46,6 @@ std::vector<std::size_t> fifo_order(const std::vector<TenantDemand>& tenants) {
       order.end()) {
     std::sort(order.begin(), order.end(), before);
   }
-  return order;
 }
 
 /// Gives one more unit to each of the `k` candidates with the largest
@@ -137,46 +137,6 @@ std::uint32_t effective_requested(const TenantDemand& tenant,
     }
   }
   return std::min(requested, site_cap);
-}
-
-void demand_weighted(std::uint32_t site_cap, double instance_mem_mb,
-                     std::uint32_t spare,
-                     const std::vector<TenantDemand>& tenants,
-                     const std::vector<std::size_t>& order,
-                     std::vector<std::uint32_t>& shares) {
-  // Unmet demand: how far each tenant's requested pool sits above its floor.
-  std::vector<std::uint32_t> extra(tenants.size(), 0);
-  std::uint64_t total_extra = 0;
-  for (std::size_t i = 0; i < tenants.size(); ++i) {
-    const std::uint32_t want =
-        std::max(tenants[i].live_instances,
-                 effective_requested(tenants[i], site_cap, instance_mem_mb));
-    extra[i] = want - tenants[i].live_instances;
-    total_extra += extra[i];
-  }
-  if (total_extra <= spare) {
-    // Every demand fits; undemanded capacity stays unallocated until a
-    // tenant asks for it at a later reallocation.
-    for (std::size_t i = 0; i < shares.size(); ++i) shares[i] += extra[i];
-    return;
-  }
-  // Largest-remainder proportional split of the spare over unmet demand —
-  // exact integer arithmetic, so reallocation is deterministic.
-  std::vector<std::uint64_t> remainder(tenants.size(), 0);
-  std::vector<std::size_t> candidates;
-  std::uint32_t granted = 0;
-  for (std::size_t i = 0; i < tenants.size(); ++i) {
-    if (extra[i] == 0) continue;  // no grant, no remainder
-    const std::uint64_t num =
-        static_cast<std::uint64_t>(spare) * static_cast<std::uint64_t>(extra[i]);
-    const std::uint32_t grant = static_cast<std::uint32_t>(num / total_extra);
-    remainder[i] = num % total_extra;
-    shares[i] += grant;
-    granted += grant;
-    if (remainder[i] != 0) candidates.push_back(i);
-  }
-  grant_largest_remainders(candidates, remainder, order, spare - granted,
-                           shares);
 }
 
 void budget_weighted(std::uint32_t site_cap, double instance_mem_mb,
@@ -294,45 +254,255 @@ std::vector<std::uint32_t> allocate_shares(
 std::vector<std::uint32_t> allocate_shares(
     ArbiterStrategy strategy, const ArbiterConfig& config,
     const std::vector<TenantDemand>& tenants) {
-  const std::uint32_t site_cap = config.site_cap;
-  WIRE_REQUIRE(site_cap >= 1, "site cap must be at least one instance");
-  if (tenants.empty()) return {};
-
-  std::uint64_t total_live = 0;
-  for (const TenantDemand& t : tenants) total_live += t.live_instances;
-  WIRE_REQUIRE(total_live <= site_cap,
-               "tenants hold more instances than the site cap");
-
-  // Floors: what each tenant already holds is never taken away.
+  ShareLedger ledger(strategy, config);
+  for (std::size_t i = 0; i < tenants.size(); ++i) ledger.insert(i, tenants[i]);
+  ledger.allocate();
   std::vector<std::uint32_t> shares(tenants.size());
-  for (std::size_t i = 0; i < tenants.size(); ++i) {
-    shares[i] = tenants[i].live_instances;
-  }
-  const std::uint32_t spare =
-      site_cap - static_cast<std::uint32_t>(total_live);
-  const std::vector<std::size_t> order = fifo_order(tenants);
+  for (std::size_t i = 0; i < tenants.size(); ++i) shares[i] = ledger.share(i);
+  return shares;
+}
 
-  switch (strategy) {
+bool ShareLedger::Member::operator<(const Member& o) const {
+  if (arrival_seconds != o.arrival_seconds) {
+    return arrival_seconds < o.arrival_seconds;
+  }
+  if (job != o.job) return job < o.job;
+  return slot < o.slot;
+}
+
+ShareLedger::ShareLedger(ArbiterStrategy strategy, const ArbiterConfig& config)
+    : strategy_(strategy), config_(config) {
+  WIRE_REQUIRE(config_.site_cap >= 1, "site cap must be at least one instance");
+}
+
+const TenantDemand& ShareLedger::row(std::size_t slot) const {
+  WIRE_REQUIRE(contains(slot), "slot holds no row");
+  return rows_[pos_[slot]];
+}
+
+std::uint32_t ShareLedger::share(std::size_t slot) const {
+  WIRE_REQUIRE(contains(slot) && share_[slot] != kUnset,
+               "slot has no reported share");
+  return share_[slot];
+}
+
+void ShareLedger::insert(std::size_t slot, const TenantDemand& row) {
+  WIRE_REQUIRE(!contains(slot), "slot already holds a row");
+  if (slot >= pos_.size()) {
+    pos_.resize(slot + 1, kAbsent);
+    extra_.resize(slot + 1, 0);
+    share_.resize(slot + 1, kUnset);
+    tie_unit_.resize(slot + 1, false);
+    touched_.resize(slot + 1, 0);
+  }
+  pos_[slot] = rows_.size();
+  rows_.push_back(row);
+  slots_.push_back(slot);
+  share_[slot] = kUnset;
+  add(slot);
+}
+
+void ShareLedger::update(std::size_t slot, const TenantDemand& row) {
+  WIRE_REQUIRE(contains(slot), "slot holds no row");
+  remove(slot);
+  rows_[pos_[slot]] = row;
+  add(slot);
+}
+
+void ShareLedger::erase(std::size_t slot) {
+  WIRE_REQUIRE(contains(slot), "slot holds no row");
+  remove(slot);
+  if (share_[slot] != kUnset) share_total_ -= share_[slot];
+  share_[slot] = kUnset;
+  tie_unit_[slot] = false;
+  // Swap-and-pop keeps the rows dense; the full passes do not rely on their
+  // order (fifo_order sorts when needed).
+  const std::size_t at = pos_[slot];
+  rows_[at] = rows_.back();
+  slots_[at] = slots_.back();
+  pos_[slots_[at]] = at;
+  rows_.pop_back();
+  slots_.pop_back();
+  pos_[slot] = kAbsent;
+}
+
+/// Enters a held slot's row into the running sums and its demand bucket.
+void ShareLedger::add(std::size_t slot) {
+  const TenantDemand& row = rows_[pos_[slot]];
+  const std::uint32_t want = std::max(
+      row.live_instances,
+      effective_requested(row, config_.site_cap, config_.instance_mem_mb));
+  const std::uint32_t extra = want - row.live_instances;
+  extra_[slot] = extra;
+  live_total_ += row.live_instances;
+  extra_total_ += extra;
+  if (strategy_ == ArbiterStrategy::DemandWeighted) {
+    if (extra > 0) {
+      buckets_[extra].members.insert({row.arrival_seconds, row.job, slot});
+    }
+    dirty_.push_back(slot);
+  }
+  pending_ = true;
+}
+
+/// Takes a held slot's row out of the running sums and its demand bucket.
+void ShareLedger::remove(std::size_t slot) {
+  const TenantDemand& row = rows_[pos_[slot]];
+  const std::uint32_t extra = extra_[slot];
+  live_total_ -= row.live_instances;
+  extra_total_ -= extra;
+  if (strategy_ == ArbiterStrategy::DemandWeighted && extra > 0) {
+    const auto bucket = buckets_.find(extra);
+    bucket->second.members.erase({row.arrival_seconds, row.job, slot});
+    if (bucket->second.members.empty()) buckets_.erase(bucket);
+  }
+  pending_ = true;
+}
+
+const std::vector<std::size_t>& ShareLedger::allocate() {
+  WIRE_REQUIRE(live_total_ <= config_.site_cap,
+               "tenants hold more instances than the site cap");
+  changed_.clear();
+  pending_ = false;
+  if (strategy_ == ArbiterStrategy::DemandWeighted) {
+    allocate_demand_weighted();
+  } else {
+    allocate_full_pass();
+  }
+  std::sort(changed_.begin(), changed_.end());
+  WIRE_CHECK(share_total_ <= config_.site_cap,
+             "arbiter over-allocated the site");
+  return changed_;
+}
+
+void ShareLedger::report(std::size_t slot, std::uint32_t share) {
+  const std::uint32_t old = share_[slot];
+  if (share == old) return;
+  if (old != kUnset) share_total_ -= old;
+  share_total_ += share;
+  share_[slot] = share;
+  changed_.push_back(slot);
+}
+
+void ShareLedger::touch(std::size_t slot) {
+  if (!contains(slot) || touched_[slot] == epoch_) return;
+  touched_[slot] = epoch_;
+  std::uint32_t share = rows_[pos_[slot]].live_instances;
+  if (extra_[slot] > 0) share += buckets_.find(extra_[slot])->second.grant;
+  if (tie_unit_[slot]) ++share;
+  report(slot, share);
+}
+
+void ShareLedger::allocate_demand_weighted() {
+  ++epoch_;
+  // Per-bucket grants. Every demand fits: each row takes its whole extra,
+  // and undemanded capacity stays unallocated until a tenant asks for it.
+  // Otherwise a largest-remainder proportional split of the spare over
+  // unmet demand, in exact integer arithmetic.
+  const std::uint64_t spare = config_.site_cap - live_total_;
+  std::uint64_t left = 0;  // leftover units for the tied group
+  std::size_t group_begin = 0;
+  std::size_t group_end = 0;
+  if (extra_total_ <= spare) {
+    for (auto& [extra, bucket] : buckets_) bucket.next_grant = extra;
+  } else {
+    left = spare;
+    ranked_.clear();
+    for (auto& [extra, bucket] : buckets_) {
+      const std::uint64_t num = spare * extra;
+      bucket.next_grant = static_cast<std::uint32_t>(num / extra_total_);
+      left -= bucket.next_grant * bucket.members.size();
+      if (num % extra_total_ != 0) {
+        ranked_.emplace_back(num % extra_total_, &bucket);
+      }
+    }
+    // Leftover units go out by descending remainder. A group of buckets with
+    // equal remainders is granted whole while the units last; the group that
+    // outnumbers them splits in FIFO order below.
+    std::sort(ranked_.begin(), ranked_.end(),
+              [](const auto& a, const auto& b) { return a.first > b.first; });
+    for (std::size_t i = 0; i < ranked_.size() && left > 0;) {
+      std::size_t j = i;
+      std::uint64_t members = 0;
+      for (; j < ranked_.size() && ranked_[j].first == ranked_[i].first; ++j) {
+        members += ranked_[j].second->members.size();
+      }
+      if (members > left) {
+        group_begin = i;
+        group_end = j;
+        break;
+      }
+      for (std::size_t g = i; g < j; ++g) ++ranked_[g].second->next_grant;
+      left -= members;
+      i = j;
+    }
+    // Remainders sum to `left` times the total extra, so the units run out
+    // inside the ranking.
+    WIRE_CHECK(left == 0 || group_begin < group_end,
+               "leftover units outlast the remainder ranking");
+  }
+
+  // The tied group's leftover units: the first `left` rows of the group in
+  // merged FIFO order. Rows that held one last time are rechecked too.
+  previous_tie_units_.swap(tie_units_);
+  tie_units_.clear();
+  for (std::size_t slot : previous_tie_units_) tie_unit_[slot] = false;
+  heads_.clear();
+  for (std::size_t g = group_begin; g < group_end; ++g) {
+    const std::set<Member>& members = ranked_[g].second->members;
+    heads_.emplace_back(members.begin(), members.end());
+  }
+  for (; left > 0; --left) {
+    std::size_t best = heads_.size();
+    for (std::size_t h = 0; h < heads_.size(); ++h) {
+      if (heads_[h].first == heads_[h].second) continue;
+      if (best == heads_.size() || *heads_[h].first < *heads_[best].first) {
+        best = h;
+      }
+    }
+    const std::size_t slot = (heads_[best].first++)->slot;
+    tie_unit_[slot] = true;
+    tie_units_.push_back(slot);
+  }
+  // Shares are recomputed once every grant and unit is in place: every row
+  // of a bucket whose grant moved, the rows whose tie unit may have moved,
+  // and the rows changed since the last allocation.
+  for (auto& [extra, bucket] : buckets_) {
+    if (bucket.next_grant == bucket.grant) continue;
+    bucket.grant = bucket.next_grant;
+    for (const Member& m : bucket.members) touch(m.slot);
+  }
+  for (std::size_t slot : previous_tie_units_) touch(slot);
+  for (std::size_t slot : tie_units_) touch(slot);
+  for (std::size_t slot : dirty_) touch(slot);
+  dirty_.clear();
+}
+
+void ShareLedger::allocate_full_pass() {
+  // Floors: what each tenant already holds is never taken away.
+  full_.resize(rows_.size());
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    full_[i] = rows_[i].live_instances;
+  }
+  if (rows_.empty()) return;
+  const std::uint32_t spare =
+      config_.site_cap - static_cast<std::uint32_t>(live_total_);
+  fifo_order(rows_, order_);
+  switch (strategy_) {
     case ArbiterStrategy::FifoExclusive:
-      fifo_exclusive(spare, order, shares);
+      fifo_exclusive(spare, order_, full_);
       break;
     case ArbiterStrategy::StaticFairShare:
-      static_fair_share(site_cap, spare, order, shares);
-      break;
-    case ArbiterStrategy::DemandWeighted:
-      demand_weighted(site_cap, config.instance_mem_mb, spare, tenants, order,
-                      shares);
+      static_fair_share(config_.site_cap, spare, order_, full_);
       break;
     case ArbiterStrategy::BudgetWeighted:
-      budget_weighted(site_cap, config.instance_mem_mb, spare, tenants, order,
-                      shares);
+      budget_weighted(config_.site_cap, config_.instance_mem_mb, spare, rows_,
+                      order_, full_);
       break;
+    case ArbiterStrategy::DemandWeighted:
+      WIRE_CHECK(false, "DemandWeighted allocates incrementally");
   }
-
-  std::uint64_t total = 0;
-  for (std::uint32_t s : shares) total += s;
-  WIRE_CHECK(total <= site_cap, "arbiter over-allocated the site");
-  return shares;
+  for (std::size_t i = 0; i < rows_.size(); ++i) report(slots_[i], full_[i]);
 }
 
 std::vector<CheckpointGrant> allocate_checkpoint_windows(
@@ -363,7 +533,9 @@ std::vector<CheckpointGrant> allocate_checkpoint_windows(
   const double period = config.stagger_period_seconds;
   const double slice = period / static_cast<double>(demanding);
   std::uint32_t k = 0;
-  for (std::size_t i : fifo_order(tenants)) {
+  std::vector<std::size_t> order;
+  fifo_order(tenants, order);
+  for (std::size_t i : order) {
     if (tenants[i].checkpoint_mb <= 0.0) continue;
     grants[i].window_offset_seconds = static_cast<double>(k) * slice;
     grants[i].window_length_seconds = slice;

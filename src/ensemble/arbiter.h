@@ -43,6 +43,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/config.h"
@@ -128,7 +131,8 @@ struct CheckpointGrant {
 
 /// Partitions `site_cap` among `tenants` under `strategy`. Returns one share
 /// per tenant, in input order, satisfying the contract documented above.
-/// Requires site_cap >= 1 and sum(live_instances) <= site_cap.
+/// Requires site_cap >= 1 and sum(live_instances) <= site_cap. Builds a
+/// ShareLedger over the rows and reads it out.
 std::vector<std::uint32_t> allocate_shares(
     ArbiterStrategy strategy, std::uint32_t site_cap,
     const std::vector<TenantDemand>& tenants);
@@ -138,6 +142,123 @@ std::vector<std::uint32_t> allocate_shares(
 std::vector<std::uint32_t> allocate_shares(
     ArbiterStrategy strategy, const ArbiterConfig& config,
     const std::vector<TenantDemand>& tenants);
+
+/// The incremental form of allocate_shares: one demand row per slot (a dense
+/// id the caller picks, such as a tenant index), kept across allocations.
+/// Rows come and go through insert/update/erase; allocate() re-runs the
+/// allocation and reports only the slots whose share moved since the
+/// previous allocate(). Shares equal allocate_shares over the current rows.
+///
+/// DemandWeighted is incremental. The ledger keeps the running sums
+/// L = sum(live) and T = sum(extra), where a row's extra is its effective
+/// requested pool above its floor, and buckets of rows keyed by extra, each
+/// in FIFO order. With spare S = cap - L, every row gets its whole extra when
+/// T <= S. Otherwise every row of bucket e gets floor(S*e/T), and the
+/// k = S - sum(floors) leftover units go to whole buckets in descending
+/// S*e mod T; buckets whose remainders tie form one group, and when a group
+/// outnumbers the units left, the first ones of the group in merged FIFO
+/// order take them. A bucket's rows are revisited only when its grant moves,
+/// so an allocation costs O(D log D + k + changed rows) for D distinct
+/// extras. The other strategies run their full pass over the rows and diff
+/// the result against the previous shares.
+class ShareLedger {
+ public:
+  /// Requires config.site_cap >= 1.
+  ShareLedger(ArbiterStrategy strategy, const ArbiterConfig& config);
+
+  /// Adds a row under a slot that holds none.
+  void insert(std::size_t slot, const TenantDemand& row);
+  /// Replaces the row of a held slot.
+  void update(std::size_t slot, const TenantDemand& row);
+  /// Drops the row of a held slot; its share is no longer reported.
+  void erase(std::size_t slot);
+
+  bool contains(std::size_t slot) const {
+    return slot < pos_.size() && pos_[slot] != kAbsent;
+  }
+  const TenantDemand& row(std::size_t slot) const;
+  std::size_t size() const { return rows_.size(); }
+  /// The held rows, densely packed in an unspecified order; slot_at maps a
+  /// position back to its slot.
+  const std::vector<TenantDemand>& rows() const { return rows_; }
+  std::size_t slot_at(std::size_t i) const { return slots_[i]; }
+  /// Sum of live_instances over the held rows.
+  std::uint32_t live_total() const {
+    return static_cast<std::uint32_t>(live_total_);
+  }
+  /// True when a row was inserted, updated or erased since the last
+  /// allocate().
+  bool pending() const { return pending_; }
+
+  /// Re-runs the allocation. Returns the held slots whose share differs from
+  /// the one the previous call reported (every slot inserted since counts as
+  /// moved), in ascending slot order; the list stays valid until the next
+  /// allocate(). Requires live_total() <= site_cap.
+  const std::vector<std::size_t>& allocate();
+  /// The share last reported for a held slot.
+  std::uint32_t share(std::size_t slot) const;
+
+ private:
+  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+  /// Share of a slot no allocate() has reported yet.
+  static constexpr std::uint32_t kUnset = static_cast<std::uint32_t>(-1);
+
+  /// A row's place in its demand bucket: FIFO order (arrival, job), the
+  /// slot making the key unique.
+  struct Member {
+    sim::SimTime arrival_seconds;
+    std::uint32_t job;
+    std::size_t slot;
+    bool operator<(const Member& o) const;
+  };
+  /// The rows sharing one extra value, and the per-row grant last applied.
+  struct Bucket {
+    std::set<Member> members;
+    std::uint32_t grant = 0;
+    std::uint32_t next_grant = 0;
+  };
+
+  void add(std::size_t slot);
+  void remove(std::size_t slot);
+  void allocate_demand_weighted();
+  void allocate_full_pass();
+  /// Recomputes a held slot's DemandWeighted share and records a move.
+  void touch(std::size_t slot);
+  void report(std::size_t slot, std::uint32_t share);
+
+  ArbiterStrategy strategy_;
+  ArbiterConfig config_;
+  std::vector<TenantDemand> rows_;
+  std::vector<std::size_t> slots_;
+  /// Per slot: position in rows_ (kAbsent when not held), extra demand,
+  /// share last reported, and whether it holds a leftover unit of a tied
+  /// remainder group.
+  std::vector<std::size_t> pos_;
+  std::vector<std::uint32_t> extra_;
+  std::vector<std::uint32_t> share_;
+  std::vector<bool> tie_unit_;
+  std::uint64_t live_total_ = 0;
+  std::uint64_t extra_total_ = 0;
+  std::uint64_t share_total_ = 0;
+  bool pending_ = false;
+  /// DemandWeighted state: buckets by extra (> 0), the slots holding a
+  /// tie-group unit, and the slots changed since the last allocate().
+  std::map<std::uint32_t, Bucket> buckets_;
+  std::vector<std::size_t> tie_units_;
+  std::vector<std::size_t> previous_tie_units_;
+  std::vector<std::size_t> dirty_;
+  /// allocate() scratch and result; touched_[slot] == epoch_ marks a slot
+  /// already recomputed in the current allocate().
+  std::vector<std::pair<std::uint64_t, Bucket*>> ranked_;
+  std::vector<std::pair<std::set<Member>::const_iterator,
+                        std::set<Member>::const_iterator>>
+      heads_;
+  std::vector<std::uint64_t> touched_;
+  std::uint64_t epoch_ = 0;
+  std::vector<std::size_t> order_;
+  std::vector<std::uint32_t> full_;
+  std::vector<std::size_t> changed_;
+};
 
 /// Partitions the shared checkpoint channel among tenants, one grant per
 /// tenant in input order. Pure and deterministic like allocate_shares (FIFO

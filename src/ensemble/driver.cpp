@@ -18,6 +18,16 @@ constexpr sim::SimTime kNever = std::numeric_limits<sim::SimTime>::infinity();
 /// Installed-grant placeholder of a tenant that has none yet (no real grant
 /// has a negative bandwidth).
 constexpr CheckpointGrant kNoGrant{-1.0, 0.0, 0.0, 0.0};
+
+ArbiterConfig share_config(const EnsembleOptions& options,
+                           const sim::CloudConfig& cloud) {
+  ArbiterConfig config;
+  config.site_cap = options.site_cap;
+  if (options.memory_aware_demand) {
+    config.instance_mem_mb = cloud.memory.instance_mem_mb;
+  }
+  return config;
+}
 }  // namespace
 
 struct EnsembleDriver::Tenant {
@@ -35,6 +45,8 @@ struct EnsembleDriver::Tenant {
   sim::RunResult result;
   /// Listed in stepped_ (row refill due at the next rebalance).
   bool stepped = false;
+  /// Checkpoint grant last installed (checkpoint channel on).
+  CheckpointGrant grant = kNoGrant;
 
   Tenant(JobArrival a, dag::Workflow wf) : arrival(a), workflow(std::move(wf)) {}
 
@@ -61,7 +73,8 @@ EnsembleDriver::EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
       arrivals_(std::move(arrivals)),
       policy_factory_(std::move(policy_factory)),
       cloud_(cloud),
-      options_(options) {
+      options_(options),
+      ledger_(options_.strategy, share_config(options_, cloud_)) {
   WIRE_REQUIRE(static_cast<bool>(policy_factory_), "need a policy factory");
   WIRE_REQUIRE(!profiles_.empty(), "need at least one workflow profile");
   WIRE_REQUIRE(options_.site_cap >= 1, "site cap must be at least one");
@@ -92,6 +105,15 @@ EnsembleDriver::EnsembleDriver(std::vector<workload::WorkflowProfile> profiles,
   // engines must not additionally clip against a site-wide max_instances
   // they believe they own exclusively.
   cloud_.max_instances = 0;
+  checkpoint_config_ = share_config(options_, cloud_);
+  checkpoint_config_.checkpoint_bandwidth_mb_per_s =
+      cloud_.checkpoint.channel_bandwidth_mb_per_s;
+  checkpoint_config_.stagger_checkpoints = options_.stagger_checkpoints;
+  checkpoint_config_.stagger_period_seconds =
+      options_.checkpoint_stagger_period_seconds > 0.0
+          ? options_.checkpoint_stagger_period_seconds
+          : cloud_.lag_seconds;
+  sample_.site_cap = options_.site_cap;
 }
 
 void EnsembleDriver::admit(Tenant& tenant, sim::SimTime now) {
@@ -110,12 +132,13 @@ void EnsembleDriver::retire(Tenant& tenant, sim::SimTime now) {
   tenant.result = tenant.engine->result();
   busy_slot_seconds_ += tenant.result.busy_slot_seconds;
   allocated_instance_seconds_ += tenant.result.ready_instance_seconds;
-  const std::size_t row = row_of(tenant);
-  open_.erase(open_.begin() + row);
-  rows_.erase(rows_.begin() + row);
-  caps_.erase(caps_.begin() + row);
-  if (!grants_.empty()) grants_.erase(grants_.begin() + row);
-  rows_changed_ = true;
+  ledger_.erase(tenant.index);
+  if (site_listener_) {
+    const auto row = static_cast<std::ptrdiff_t>(sample_row(tenant));
+    sample_.jobs.erase(sample_.jobs.begin() + row);
+    sample_.live.erase(sample_.live.begin() + row);
+    sample_.shares.erase(sample_.shares.begin() + row);
+  }
 }
 
 /// (Re)keys a started tenant from its engine: next event and next
@@ -145,10 +168,13 @@ void EnsembleDriver::mark_stepped(Tenant& tenant) {
   stepped_.push_back(&tenant);
 }
 
-std::size_t EnsembleDriver::row_of(const Tenant& tenant) const {
-  const auto it = std::lower_bound(open_.begin(), open_.end(), tenant.index);
-  WIRE_CHECK(it != open_.end() && *it == tenant.index, "tenant is not open");
-  return static_cast<std::size_t>(it - open_.begin());
+std::size_t EnsembleDriver::sample_row(const Tenant& tenant) const {
+  // Job ids are dense in arrival order, so the sample's job column is sorted.
+  const auto it = std::lower_bound(sample_.jobs.begin(), sample_.jobs.end(),
+                                   tenant.arrival.job);
+  WIRE_CHECK(it != sample_.jobs.end() && *it == tenant.arrival.job,
+             "tenant is not open");
+  return static_cast<std::size_t>(it - sample_.jobs.begin());
 }
 
 void EnsembleDriver::admit_arrival(const JobArrival& a) {
@@ -162,16 +188,18 @@ void EnsembleDriver::admit_arrival(const JobArrival& a) {
   run_options.max_sim_seconds = options_.max_sim_seconds;
   tenant->engine = std::make_unique<sim::JobEngine>(
       tenant->workflow, *tenant->policy, cloud_, run_options);
-  open_.push_back(tenant->index);
-  rows_.emplace_back();
-  fill_row(*tenant, rows_.back());
-  rows_changed_ = true;
-  caps_.push_back(tenant->engine->instance_cap());
-  if (cloud_.checkpoint.enabled()) grants_.push_back(kNoGrant);
+  ledger_.insert(tenant->index, demand_of(*tenant));
+  if (site_listener_) {
+    WIRE_CHECK(sample_.jobs.empty() || sample_.jobs.back() < a.job,
+               "job ids must increase in arrival order");
+    sample_.jobs.push_back(a.job);
+    sample_.live.push_back(0);
+    sample_.shares.push_back(0);  // set by the allocation that follows
+  }
   tenants_.push_back(std::move(tenant));
 }
 
-bool EnsembleDriver::fill_row(const Tenant& t, TenantDemand& row) const {
+TenantDemand EnsembleDriver::demand_of(const Tenant& t) const {
   TenantDemand d;
   d.job = t.arrival.job;
   d.arrival_seconds = t.arrival.arrival_seconds;
@@ -198,38 +226,36 @@ bool EnsembleDriver::fill_row(const Tenant& t, TenantDemand& row) const {
     d.remaining_budget_units =
         options_.budget_units > 0.0 ? options_.budget_units : -1.0;
   }
-  const bool changed = !(d == row);
-  row = d;
-  return changed;
+  return d;
+}
+
+void EnsembleDriver::refresh_row(const Tenant& tenant) {
+  const TenantDemand d = demand_of(tenant);
+  if (d == ledger_.row(tenant.index)) return;
+  ledger_.update(tenant.index, d);
+  if (site_listener_) sample_.live[sample_row(tenant)] = d.live_instances;
 }
 
 void EnsembleDriver::rebalance(sim::SimTime now, bool refill_all) {
-  // Demand rows over every arrived-but-unfinished tenant, in arrival order.
-  // A row only goes stale when its tenant steps (admission refills it in
-  // place), so the windowed loop refills just those rows; the sequential
-  // reference loop rebuilds them all.
+  // A row only goes stale when its tenant steps (admission refreshes it in
+  // place), so the windowed loop refreshes just those rows; the sequential
+  // reference loop rereads them all.
   for (Tenant* t : stepped_) {
     t->stepped = false;
-    if (t->state != Tenant::State::Done && fill_row(*t, rows_[row_of(*t)])) {
-      rows_changed_ = true;
-    }
+    if (t->state != Tenant::State::Done) refresh_row(*t);
   }
   stepped_.clear();
-  if (open_.empty()) return;
+  if (ledger_.size() == 0) return;
   if (refill_all) {
-    for (std::size_t i = 0; i < open_.size(); ++i) {
-      fill_row(*tenants_[open_[i]], rows_[i]);
+    for (const std::unique_ptr<Tenant>& t : tenants_) {
+      if (t->state != Tenant::State::Done) refresh_row(*t);
     }
-    rows_changed_ = true;
   }
 
   // Allocation is a pure function of the rows, so with no row changed since
   // the last rebalance every share, grant and listener field but the time
   // would come out the same.
-  if (rows_changed_) {
-    rows_changed_ = false;
-    allocate_and_install(now);
-  }
+  if (ledger_.pending()) allocate_and_install(now);
   if (site_listener_) {
     sample_.now = now;
     site_listener_(sample_);
@@ -237,53 +263,37 @@ void EnsembleDriver::rebalance(sim::SimTime now, bool refill_all) {
 }
 
 void EnsembleDriver::allocate_and_install(sim::SimTime now) {
-  // One allocation pass over the rows, then caps and admissions in the same
-  // canonical order — installed only where a tenant's share moved, since an
-  // unchanged cap is a no-op for its engine.
-  ArbiterConfig config;
-  config.site_cap = options_.site_cap;
-  if (options_.memory_aware_demand) {
-    config.instance_mem_mb = cloud_.memory.instance_mem_mb;
-  }
-  const std::vector<std::uint32_t> shares =
-      allocate_shares(options_.strategy, config, rows_);
-  for (std::size_t i = 0; i < open_.size(); ++i) {
-    if (shares[i] == caps_[i]) continue;
-    caps_[i] = shares[i];
-    Tenant& t = *tenants_[open_[i]];
-    t.engine->set_instance_cap(shares[i]);
+  // Caps and admissions go to the tenants whose share moved, in arrival
+  // order; every other tenant's installed cap already equals its share.
+  for (const std::size_t index : ledger_.allocate()) {
+    Tenant& t = *tenants_[index];
+    const std::uint32_t share = ledger_.share(index);
+    t.engine->set_instance_cap(share);
+    if (site_listener_) sample_.shares[sample_row(t)] = share;
     // A waiting tenant holds cap 0 (or the engine default before its first
-    // rebalance), so its admission always coincides with a cap change.
-    if (t.state == Tenant::State::Waiting && shares[i] >= 1) {
+    // rebalance), so its admission always coincides with a cap change. Its
+    // refreshed row is allocated at the next rebalance.
+    if (t.state == Tenant::State::Waiting && share >= 1) {
       admit(t, now);
-      rows_changed_ |= fill_row(t, rows_[i]);
+      refresh_row(t);
     }
   }
 
-  // Checkpoint-channel arbitration rides the same pass. The engine treats an
-  // unchanged bandwidth as a strict no-op and a window install as a plain
-  // assignment, so skipping unchanged grants is exact; only genuine changes
-  // (latched checkpoint demand moved at a control tick) perturb a tenant's
-  // event stream, and those tenants are re-keyed.
+  // Checkpoint-channel arbitration rides the same pass, over every row. The
+  // engine treats an unchanged bandwidth as a strict no-op and a window
+  // install as a plain assignment, so skipping unchanged grants is exact;
+  // only genuine changes (latched checkpoint demand moved at a control tick)
+  // perturb a tenant's event stream, and those tenants are re-keyed.
   if (cloud_.checkpoint.enabled()) {
-    ArbiterConfig ckpt_config = config;
-    ckpt_config.checkpoint_bandwidth_mb_per_s =
-        cloud_.checkpoint.channel_bandwidth_mb_per_s;
-    ckpt_config.stagger_checkpoints = options_.stagger_checkpoints;
-    ckpt_config.stagger_period_seconds =
-        options_.checkpoint_stagger_period_seconds > 0.0
-            ? options_.checkpoint_stagger_period_seconds
-            : cloud_.lag_seconds;
     const std::vector<CheckpointGrant> grants =
-        allocate_checkpoint_windows(ckpt_config, rows_);
-    for (std::size_t i = 0; i < open_.size(); ++i) {
-      if (grants[i] == grants_[i]) continue;
-      Tenant& t = *tenants_[open_[i]];
-      if (t.state != Tenant::State::Active) continue;
-      grants_[i] = grants[i];
+        allocate_checkpoint_windows(checkpoint_config_, ledger_.rows());
+    for (std::size_t i = 0; i < grants.size(); ++i) {
+      Tenant& t = *tenants_[ledger_.slot_at(i)];
+      const CheckpointGrant& g = grants[i];
+      if (g == t.grant || t.state != Tenant::State::Active) continue;
+      t.grant = g;
       // Window offsets are site-anchored; the engine clock starts at
       // admission, so translate by -admitted_at.
-      const CheckpointGrant& g = grants[i];
       t.engine->set_checkpoint_channel(g.bandwidth_mb_per_s,
                                        now - t.admitted_at);
       t.engine->set_checkpoint_window(
@@ -293,22 +303,9 @@ void EnsembleDriver::allocate_and_install(sim::SimTime now) {
     }
   }
 
-  std::uint32_t live_total = 0;
-  for (const TenantDemand& d : rows_) live_total += d.live_instances;
-  WIRE_CHECK(live_total <= options_.site_cap,
+  WIRE_CHECK(ledger_.live_total() <= options_.site_cap,
              "tenants exceed the shared site cap");
-
-  if (site_listener_) {
-    sample_.site_cap = options_.site_cap;
-    sample_.live_total = live_total;
-    sample_.jobs.resize(rows_.size());
-    sample_.live.resize(rows_.size());
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      sample_.jobs[i] = rows_[i].job;
-      sample_.live[i] = rows_[i].live_instances;
-    }
-    sample_.shares = shares;
-  }
+  sample_.live_total = ledger_.live_total();
 }
 
 double EnsembleDriver::dedicated_makespan(const Tenant& tenant) {

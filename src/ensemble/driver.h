@@ -43,13 +43,16 @@
 // free channel share), so no tenant runs ahead and the loop steps one event
 // at a time.
 //
-// Arbitration keeps one TenantDemand row per open tenant, in arrival order,
-// across serial events. A rebalance refills only the rows of tenants that
-// stepped or were admitted since the previous one, runs one allocate_shares
-// pass over all rows (none when no row changed: the allocation is a pure
-// function of the rows), and installs a cap (or a checkpoint grant) only
-// where it changed — so the allocation arithmetic and its (arrival, job id)
-// tie-breaks are the reference loop's.
+// Arbitration keeps one TenantDemand row per open tenant in a ShareLedger,
+// keyed by tenant index, across serial events. A rebalance refreshes only the
+// rows of tenants that stepped or were admitted since the previous one,
+// re-runs the allocation when any row was inserted, updated or erased (it is
+// a pure function of the rows), and installs a cap only on the tenants whose
+// share the ledger reports as moved. Under DemandWeighted the ledger updates
+// shares in O(changed rows) per serial event instead of re-running the
+// allocation over every open tenant; the allocation arithmetic and its
+// (arrival, job id) tie-breaks are the reference loop's. Checkpoint-channel
+// grants, when the channel is on, stay a full pass over the rows.
 //
 // Policy-state sharing: no two tenant policies ever run at once — tenants
 // step one at a time and plan() only at control ticks — and the
@@ -130,7 +133,10 @@ struct EnsembleOptions {
 
 /// Site-level observation emitted after every processed event (arrival,
 /// tenant event, retirement) once shares are rebalanced. Tests use it to
-/// assert the capacity invariant at every control point.
+/// assert the capacity invariant at every control point. The driver keeps
+/// one sample up to date in place (a row per arrival, removed at
+/// retirement, fields rewritten only where they moved) and passes it to
+/// every listener call.
 struct SiteSample {
   sim::SimTime now = 0.0;
   std::uint32_t site_cap = 0;
@@ -173,10 +179,13 @@ class EnsembleDriver {
   void retire(Tenant& tenant, sim::SimTime now);
   void key(Tenant& tenant);
   void mark_stepped(Tenant& tenant);
-  std::size_t row_of(const Tenant& tenant) const;
-  /// Refills `row` from the tenant's engine; true when it changed.
-  bool fill_row(const Tenant& tenant, TenantDemand& row) const;
-  /// Refills stale rows (every row with `refill_all`), re-runs the
+  /// The tenant's current demand row, read from its engine.
+  TenantDemand demand_of(const Tenant& tenant) const;
+  /// Hands the tenant's demand row to the ledger if it changed.
+  void refresh_row(const Tenant& tenant);
+  /// The tenant's row in sample_ (listener runs only).
+  std::size_t sample_row(const Tenant& tenant) const;
+  /// Refreshes stale rows (every open row with `refill_all`), re-runs the
   /// allocation if any row changed, and notifies the site listener.
   void rebalance(sim::SimTime now, bool refill_all);
   void allocate_and_install(sim::SimTime now);
@@ -193,26 +202,19 @@ class EnsembleDriver {
   EnsembleOptions options_;
   std::function<void(const SiteSample&)> site_listener_;
   std::vector<std::unique_ptr<Tenant>> tenants_;
-  /// Indices of the arrived, not yet retired tenants, ascending (== arrival
-  /// order), and parallel to it the arbiter's demand rows, the caps last
-  /// installed, and the checkpoint grants last installed (empty unless the
-  /// site's checkpoint channel is on). Appended at arrival, erased at
-  /// retirement.
-  std::vector<std::size_t> open_;
-  std::vector<TenantDemand> rows_;
-  std::vector<std::uint32_t> caps_;
-  std::vector<CheckpointGrant> grants_;
-  /// Tenants stepped since the last rebalance (their rows are stale), and
-  /// whether any row changed since the last allocation.
+  /// Demand rows of the arrived, not yet retired tenants, keyed by tenant
+  /// index, and the channel arbitration parameters (checkpoint channel on).
+  ShareLedger ledger_;
+  ArbiterConfig checkpoint_config_;
+  /// Tenants stepped since the last rebalance (their rows are stale).
   std::vector<Tenant*> stepped_;
-  bool rows_changed_ = false;
   /// Keyed by tenant index: next event and next demand-relevant event of
   /// every active unfinished tenant, and pending retirements. Only the
   /// windowed loop reads them.
   KeyedHeap events_;
   KeyedHeap demands_;
   KeyedHeap retirements_;
-  /// Reused listener payload.
+  /// The listener payload, kept current while a listener is set.
   SiteSample sample_;
   double busy_slot_seconds_ = 0.0;
   double allocated_instance_seconds_ = 0.0;

@@ -281,10 +281,14 @@ const MonitorSnapshot& MonitorStore::refresh(SimTime now,
     cur_lifecycle_.push_back({obs.id, obs.provisioning, obs.draining,
                               obs.revoking, obs.ready_at, obs.revoke_at});
   }
-  std::sort(cur_lifecycle_.begin(), cur_lifecycle_.end(),
-            [](const InstanceLifecycle& a, const InstanceLifecycle& b) {
-              return a.id < b.id;
-            });
+  // refresh_fields walks CloudPool::live(), which is kept in ascending id
+  // order, so the rows arrive already sorted for the merge below.
+  WIRE_CHECK(std::is_sorted(cur_lifecycle_.begin(), cur_lifecycle_.end(),
+                            [](const InstanceLifecycle& a,
+                               const InstanceLifecycle& b) {
+                              return a.id < b.id;
+                            }),
+             "live instance rows out of id order");
   snap_.delta.instances_changed.clear();
   {
     std::size_t i = 0, j = 0;
