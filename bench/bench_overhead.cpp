@@ -15,10 +15,9 @@
 // nothing happened — while the rebuild path scales with total task count.
 // `bench_overhead --smoke` runs a fast CI tripwire suite without the
 // google-benchmark harness: the monitor store-vs-rebuild comparison (store
-// beats the rebuild on L and stays within a small constant of S), the
-// cached-analyze ratio (memoized lookahead tick < 0.25x from-scratch on
-// Genome L), and the cached-plan ratio (steering off a Plan-stamped result
-// < 0.5x the occupancy rebuild + re-pack).
+// beats the rebuild on L and stays within a small constant of S). It also
+// prints the Analyze and Plan costs on Genome L (predictor harvest, the
+// controller's lookahead, steering) for the record, without a bound.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -87,7 +86,7 @@ struct Fixture {
     // Bootstrap with a full-scan observe (non-exact delta): the captured
     // snapshot's journal only covers the final interval, and a predictor
     // that missed the run's earlier completions has no per-stage history —
-    // every prediction degrades to the uncacheable policies 1-2, which is
+    // every prediction degrades to the cold-stage policies 1-2, which is
     // not what a mid-run controller sees.
     sim::MonitorSnapshot bootstrap = snapshot;
     bootstrap.delta = sim::MonitorDelta{};
@@ -134,86 +133,6 @@ void BM_LookaheadSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_LookaheadSimulation);
 
-/// An idle-tick replay of the Genome L snapshot for the incremental
-/// lookahead: same fields, but an exact empty delta — the common quiet
-/// control interval where the cache's fast path applies. (Replaying the
-/// captured delta verbatim would re-announce its completions every tick;
-/// tasks that completed before `now` are never in the forward projection, so
-/// every replay would classify as a misprediction and fall back.)
-struct CachedFixture {
-  sim::MonitorSnapshot idle;
-  core::RunState run_state;
-  /// Default options: Plan stamps on — ticks carry planned_pool inline.
-  core::IncrementalLookahead cache;
-  /// Plan stamps off: the Analyze memo alone, for the like-for-like
-  /// cached-analyze tripwire (the stamping pass's packing cost belongs to
-  /// the Plan column, not the Analyze ratio).
-  core::IncrementalLookahead analyze_cache;
-
-  static core::LookaheadCacheOptions analyze_only_options() {
-    core::LookaheadCacheOptions options;
-    options.plan_stamps = false;
-    return options;
-  }
-
-  CachedFixture() : analyze_cache(analyze_only_options()) {
-    Fixture& f = fixture();
-    idle = f.snapshot;
-    idle.delta.exact = true;
-    idle.delta.completed.clear();
-    idle.delta.phase_changed.clear();
-    idle.delta.failed.clear();
-    idle.delta.instances_added.clear();
-    idle.delta.instances_removed.clear();
-    idle.delta.instances_changed.clear();
-    run_state.update(f.wf, idle);
-    cache.reset(f.wf);
-    analyze_cache.reset(f.wf);
-    // Two warm-up ticks each: the first is the kFirstTick fallback, the
-    // second populates the memo; steady state begins at the third.
-    tick();
-    tick();
-    tick_analyze_only();
-    tick_analyze_only();
-  }
-
-  const core::LookaheadResult& tick() {
-    Fixture& f = fixture();
-    return cache.tick(f.wf, idle, *f.predictor, f.predictor.get(), f.config,
-                      &run_state);
-  }
-
-  const core::LookaheadResult& tick_analyze_only() {
-    Fixture& f = fixture();
-    return analyze_cache.tick(f.wf, idle, *f.predictor, f.predictor.get(),
-                              f.config, &run_state);
-  }
-};
-
-CachedFixture& cached_fixture() {
-  static CachedFixture c;
-  return c;
-}
-
-void BM_LookaheadCachedTick(benchmark::State& state) {
-  CachedFixture& c = cached_fixture();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(c.tick().upcoming.size());
-  }
-}
-BENCHMARK(BM_LookaheadCachedTick);
-
-// The Analyze memo alone (Plan stamping off), for comparing against
-// BM_LookaheadCachedTick: the difference is the inline packing + stamp cost
-// that moved out of the Plan phase.
-void BM_LookaheadCachedTickAnalyzeOnly(benchmark::State& state) {
-  CachedFixture& c = cached_fixture();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(c.tick_analyze_only().upcoming.size());
-  }
-}
-BENCHMARK(BM_LookaheadCachedTickAnalyzeOnly);
-
 void BM_SteeringPolicy(benchmark::State& state) {
   Fixture& f = fixture();
   const core::LookaheadResult lookahead =
@@ -225,22 +144,6 @@ void BM_SteeringPolicy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SteeringPolicy);
-
-// Steering off a Plan-stamped lookahead: Algorithm 3's size was packed
-// inline during Q_task emission, so steer() skips the occupancy rebuild and
-// re-pack entirely — O(instances) instead of O(|Q_task| * slots).
-void BM_SteeringPolicyCached(benchmark::State& state) {
-  CachedFixture& c = cached_fixture();
-  Fixture& f = fixture();
-  const core::LookaheadResult& stamped = c.tick();
-  for (auto _ : state) {
-    const sim::PoolCommand cmd =
-        core::steer(stamped, c.idle, f.config, nullptr,
-                    /*reclaim_draining=*/false, c.cache.scratch().get());
-    benchmark::DoNotOptimize(cmd.grow);
-  }
-}
-BENCHMARK(BM_SteeringPolicyCached);
 
 void BM_FullMapeIteration(benchmark::State& state) {
   Fixture& f = fixture();
@@ -378,93 +281,44 @@ int run_smoke() {
               "(rebuild/store ratio on L: %.1f)\n",
               rebuild_l * 1e9, rebuild_l / store_l);
 
-  // Analyze + Plan phases on the Genome L mid-run snapshot: predictor
-  // harvest, lookahead projection (from-scratch reference vs the
-  // incremental cache's memoized fast path), and Algorithm 3 steering.
+  // Analyze + Plan phases on the Genome L mid-run snapshot, for the record:
+  // predictor harvest, the lookahead as the controller runs it (RunState
+  // borrowed, result and scratch reused) and Algorithm 3 steering.
   Fixture& f = fixture();
-  CachedFixture& c = cached_fixture();
   const int la_iters = 200;
   const double observe_s = best_seconds_per_call(
       [&] {
-        f.predictor->observe(c.idle);
+        f.predictor->observe(f.snapshot);
         benchmark::DoNotOptimize(f.predictor->transfer_estimate());
       },
       la_iters, reps);
-  // The cached/scratch ratio check below has real but modest headroom
-  // (~0.23 vs the 0.25 threshold); a scheduler burst on a shared runner can
-  // poison one whole best-of window, so re-measure the pair up to three
-  // times and only fail if every attempt does — a genuine regression fails
-  // all three, transient noise does not. The cached side is the
-  // analyze-only cache (Plan stamps off): the stamping pass's packing cost
-  // is Plan-phase work and is measured in the plan ratio below.
-  double scratch_s = 0.0;
-  double cached_s = 0.0;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    scratch_s = best_seconds_per_call(
-        [&] {
-          const core::LookaheadResult result = core::simulate_interval(
-              f.wf, c.idle, *f.predictor, f.config, &c.run_state);
-          benchmark::DoNotOptimize(result.upcoming.size());
-        },
-        la_iters, reps);
-    cached_s = best_seconds_per_call(
-        [&] { benchmark::DoNotOptimize(c.tick_analyze_only().upcoming.size()); },
-        la_iters, reps);
-    if (cached_s < 0.25 * scratch_s) break;
-  }
-
-  // Plan phase: steering off the unstamped reference (full occupancy
-  // rebuild + Algorithm-3 re-pack) vs off the Plan-stamped cache result
-  // (planned_pool consumed directly). Both sides borrow the same scratch
-  // arena so the ratio isolates the algorithmic saving, not allocator luck.
-  const core::LookaheadResult lookahead = core::simulate_interval(
-      f.wf, c.idle, *f.predictor, f.config, &c.run_state);
-  const core::LookaheadResult& stamped = c.tick();
-  core::PlanScratch* scratch = c.cache.scratch().get();
-  double steer_s = 0.0;
-  double steer_cached_s = 0.0;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    steer_s = best_seconds_per_call(
-        [&] {
-          const sim::PoolCommand cmd = core::steer(
-              lookahead, c.idle, f.config, nullptr, false, scratch);
-          benchmark::DoNotOptimize(cmd.grow);
-        },
-        la_iters, reps);
-    steer_cached_s = best_seconds_per_call(
-        [&] {
-          const sim::PoolCommand cmd = core::steer(
-              stamped, c.idle, f.config, nullptr, false, scratch);
-          benchmark::DoNotOptimize(cmd.grow);
-        },
-        la_iters, reps);
-    if (steer_cached_s < 0.5 * steer_s) break;
-  }
+  core::RunState run_state;
+  run_state.update(f.wf, f.snapshot);
+  core::PlanScratch scratch;
+  core::LookaheadResult lookahead;
+  const double lookahead_s = best_seconds_per_call(
+      [&] {
+        core::simulate_interval(f.wf, f.snapshot, *f.predictor, f.config,
+                                lookahead, &run_state, &scratch);
+        benchmark::DoNotOptimize(lookahead.upcoming.size());
+      },
+      la_iters, reps);
+  const double steer_s = best_seconds_per_call(
+      [&] {
+        const sim::PoolCommand cmd = core::steer(
+            lookahead, f.snapshot, f.config, nullptr, false, &scratch);
+        benchmark::DoNotOptimize(cmd.grow);
+      },
+      la_iters, reps);
 
   std::printf("analyze, predictor harvest:      Genome-L      %8.1f ns\n",
               observe_s * 1e9);
-  std::printf("analyze, lookahead from-scratch: Genome-L      %8.1f ns\n",
-              scratch_s * 1e9);
-  std::printf("analyze, lookahead cached:       Genome-L      %8.1f ns "
-              "(cached/scratch ratio %.3f)\n",
-              cached_s * 1e9, cached_s / scratch_s);
-  std::printf("plan, steering from-scratch:     Genome-L      %8.1f ns\n",
+  std::printf("analyze, lookahead:              Genome-L      %8.1f ns\n",
+              lookahead_s * 1e9);
+  std::printf("plan, steering:                  Genome-L      %8.1f ns\n",
               steer_s * 1e9);
-  std::printf("plan, steering stamped:          Genome-L      %8.1f ns "
-              "(cached/scratch ratio %.3f)\n",
-              steer_cached_s * 1e9, steer_cached_s / steer_s);
 
   bool ok = true;
-  if (!stamped.plan_valid) {
-    std::printf("FAIL: idle-tick replay did not produce a Plan-stamped "
-                "result\n");
-    ok = false;
-  }
-  if (steer_cached_s >= 0.5 * steer_s) {
-    std::printf("FAIL: stamped steering on Genome-L is not under 50%% of the "
-                "from-scratch plan (ratio %.3f)\n", steer_cached_s / steer_s);
-    ok = false;
-  }
   if (store_l * 2.0 >= rebuild_l) {
     std::printf("FAIL: store path on Epigenomics-L is not at least 2x faster "
                 "than the from-scratch rebuild\n");
@@ -473,19 +327,6 @@ int run_smoke() {
   if (store_l >= store_s * 8.0) {
     std::printf("FAIL: store idle-tick cost grows with task count "
                 "(Epigenomics-L > 8x Epigenomics-S)\n");
-    ok = false;
-  }
-  if (c.cache.last_path() != core::AnalyzePath::kIncremental ||
-      c.analyze_cache.last_path() != core::AnalyzePath::kIncremental) {
-    std::printf("FAIL: cached lookahead replay did not classify as "
-                "incremental (stamped path: %s, analyze-only path: %s)\n",
-                core::analyze_path_label(c.cache.last_path()),
-                core::analyze_path_label(c.analyze_cache.last_path()));
-    ok = false;
-  }
-  if (cached_s >= 0.25 * scratch_s) {
-    std::printf("FAIL: cached analyze on Genome-L is not under 25%% of the "
-                "from-scratch lookahead (ratio %.3f)\n", cached_s / scratch_s);
     ok = false;
   }
   std::printf(ok ? "smoke: OK\n" : "smoke: FAILED\n");

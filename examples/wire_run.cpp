@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
         mape_csv = std::make_unique<util::CsvWriter>(mape_path);
         mape_csv->write_row({"time", "upcoming_tasks",
                              "upcoming_load_seconds", "planned_pool", "grow",
-                             "releases", "analyze_path", "plan_stamped"});
+                             "releases"});
         wire_policy->set_trace_listener(
             [&mape_csv](const core::MapeTrace& t) {
               mape_csv->write_row({util::fmt(t.now, 1),
@@ -221,9 +221,7 @@ int main(int argc, char** argv) {
                                    util::fmt(t.upcoming_load_seconds, 1),
                                    std::to_string(t.planned_pool),
                                    std::to_string(t.grow),
-                                   std::to_string(t.releases),
-                                   core::analyze_path_label(t.analyze_path),
-                                   t.plan_stamped ? "1" : "0"});
+                                   std::to_string(t.releases)});
             });
       } else {
         std::fprintf(stderr,

@@ -10,9 +10,9 @@
 namespace wire::core {
 
 WireController::WireController(const WireOptions& options)
-    : options_(options), lookahead_(options.lookahead_cache) {
-  lookahead_.set_scratch(options_.plan_scratch);
-}
+    : options_(options),
+      scratch_(options.plan_scratch ? options.plan_scratch
+                                    : std::make_shared<PlanScratch>()) {}
 
 void WireController::on_run_start(const dag::Workflow& workflow,
                                   const sim::CloudConfig& config) {
@@ -42,9 +42,9 @@ void WireController::on_run_start(const dag::Workflow& workflow,
     online_ = online.get();
     estimator_ = std::move(online);
   }
-  lookahead_.set_adaptive_horizon(
+  adaptive_horizon_ =
       selector_ ? selector_->arm(selector_->current()).adaptive_horizon
-                : options_.lookahead_cache.adaptive_horizon);
+                : options_.adaptive_horizon;
   // The memory predictor exists only when the run models memory at all; a
   // memory-off run keeps the pointer null so plan() pays nothing for the
   // second resource dimension (and stays byte-identical to pre-memory).
@@ -53,7 +53,7 @@ void WireController::on_run_start(const dag::Workflow& workflow,
                       workflow, config.memory, config.slots_per_instance)
                 : nullptr;
   run_state_.reset();
-  lookahead_.reset(workflow);
+  lookahead_.clear();
   last_planned_pool_ = 0;
 }
 
@@ -92,7 +92,7 @@ sim::PoolCommand WireController::plan(const sim::MonitorSnapshot& snapshot) {
     if (selector_->tick(cost, scored)) {
       const predict::BanditArm& arm = selector_->arm(selector_->current());
       online_->reconfigure(arm.config);
-      lookahead_.set_adaptive_horizon(arm.adaptive_horizon);
+      adaptive_horizon_ = arm.adaptive_horizon;
     }
   }
 
@@ -101,44 +101,40 @@ sim::PoolCommand WireController::plan(const sim::MonitorSnapshot& snapshot) {
   if (memory_) memory_->observe(snapshot);
 
   // Plan: project the upcoming load.
-  LookaheadResult ablation_scratch;
-  const LookaheadResult* lookahead = &ablation_scratch;
-  AnalyzePath analyze_path = AnalyzePath::kFirstTick;
   if (options_.disable_lookahead) {
     // Ablation: no DAG projection — only the tasks active right now. With
     // the memory dimension on, entries still carry their reservations so
     // the memory-aware Algorithm 3 packs the same constraint the
     // dispatcher enforces.
+    lookahead_.clear();
     for (const sim::InstanceObservation& inst : snapshot.instances) {
       for (dag::TaskId task : inst.running_tasks) {
-        ablation_scratch.upcoming.push_back(UpcomingTask{
+        lookahead_.upcoming.push_back(UpcomingTask{
             estimator_->predict_remaining_occupancy(task, snapshot), task,
             /*on_slot=*/true,
             memory_ ? memory_->predict_reservation(task, snapshot) : 0.0});
         auto [it, inserted] =
-            ablation_scratch.restart_cost.try_emplace(inst.id, 0.0);
+            lookahead_.restart_cost.try_emplace(inst.id, 0.0);
         it->second = std::max(it->second, snapshot.tasks[task].elapsed);
       }
     }
     for (dag::TaskId task : snapshot.ready_queue) {
-      ablation_scratch.upcoming.push_back(UpcomingTask{
+      lookahead_.upcoming.push_back(UpcomingTask{
           estimator_->predict_remaining_occupancy(task, snapshot), task,
           /*on_slot=*/false,
           memory_ ? memory_->predict_reservation(task, snapshot) : 0.0});
     }
   } else {
     run_state_.update(*workflow_, snapshot);
-    lookahead = &lookahead_.tick(*workflow_, snapshot, *estimator_, online_,
-                                 config_, &run_state_, memory_.get());
-    analyze_path = lookahead_.last_path();
+    simulate_interval(*workflow_, snapshot, *estimator_, config_, lookahead_,
+                      &run_state_, scratch_.get(), memory_.get(),
+                      adaptive_horizon_);
   }
 
-  // Plan + Execute: steer the pool (on the lookahead's scratch arena, which
-  // also covers the ablation path — its buffers are free between ticks).
+  // Plan + Execute: steer the pool.
   std::uint32_t planned = 0;
-  sim::PoolCommand cmd =
-      steer(*lookahead, snapshot, config_, &planned,
-            options_.reclaim_draining, lookahead_.scratch().get());
+  sim::PoolCommand cmd = steer(lookahead_, snapshot, config_, &planned,
+                               options_.reclaim_draining, scratch_.get());
   last_planned_pool_ = planned;
 
   if (memory_ && options_.report_memory_demand) {
@@ -154,12 +150,12 @@ sim::PoolCommand WireController::plan(const sim::MonitorSnapshot& snapshot) {
     // (the engine never acts on it); the ensemble arbiter converts it to an
     // instance-count bid.
     const std::size_t wave =
-        std::min(lookahead->upcoming.size(),
+        std::min(lookahead_.upcoming.size(),
                  static_cast<std::size_t>(planned) *
                      static_cast<std::size_t>(config_.slots_per_instance));
     double mem = 0.0;
     for (std::size_t i = 0; i < wave; ++i) {
-      mem += lookahead->upcoming[i].mem_mb;
+      mem += lookahead_.upcoming[i].mem_mb;
     }
     cmd.desired_mem_mb = mem;
   }
@@ -167,15 +163,13 @@ sim::PoolCommand WireController::plan(const sim::MonitorSnapshot& snapshot) {
   if (trace_listener_) {
     MapeTrace trace;
     trace.now = snapshot.now;
-    trace.upcoming_tasks = lookahead->upcoming.size();
-    for (const UpcomingTask& t : lookahead->upcoming) {
+    trace.upcoming_tasks = lookahead_.upcoming.size();
+    for (const UpcomingTask& t : lookahead_.upcoming) {
       trace.upcoming_load_seconds += t.remaining_occupancy;
     }
     trace.planned_pool = planned;
     trace.grow = cmd.grow;
     trace.releases = static_cast<std::uint32_t>(cmd.releases.size());
-    trace.analyze_path = analyze_path;
-    trace.plan_stamped = lookahead->plan_valid;
     trace_listener_(trace);
   }
   return cmd;
@@ -195,11 +189,13 @@ std::size_t WireController::state_bytes() const {
   // RunState: one counter plus one completion flag per task.
   bytes += run_state_.remaining_preds().capacity() *
            (sizeof(std::uint32_t) + sizeof(char));
-  bytes += lookahead_.state_bytes();
+  bytes += lookahead_.upcoming.capacity() * sizeof(UpcomingTask) +
+           lookahead_.restart_cost.size() *
+               (sizeof(sim::InstanceId) + sizeof(double));
   // The Plan scratch arena is charged here only when this controller owns
   // it; a shared (ensemble) arena is charged once by its owner, not once
   // per tenant.
-  if (!options_.plan_scratch) bytes += lookahead_.scratch()->state_bytes();
+  if (!options_.plan_scratch) bytes += scratch_->state_bytes();
   return bytes;
 }
 

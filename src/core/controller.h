@@ -13,7 +13,7 @@
 #include <string>
 
 #include "core/lookahead.h"
-#include "core/lookahead_cache.h"
+#include "core/plan_scratch.h"
 #include "core/run_state.h"
 #include "predict/bandit.h"
 #include "predict/estimator.h"
@@ -45,11 +45,15 @@ struct WireOptions {
   /// instant and its charging unit is already running. Off by default
   /// (fidelity to Algorithm 2); the ablation bench measures it.
   bool reclaim_draining = false;
-  /// Incremental Analyze phase (lookahead_cache.h): delta-classified
-  /// projection with a revision-validated estimate memo. Steering decisions
-  /// are byte-identical with the cache on or off; `enabled = false` is the
-  /// ablation knob.
-  LookaheadCacheOptions lookahead_cache;
+  /// Adaptive horizon capping (simulate_interval's `adaptive_horizon`):
+  /// stop emitting Q_task's queue tail once Algorithm 3's pool size provably
+  /// saturates the binding instance ceiling. Steering decisions are
+  /// unchanged; the unclamped demand signal (PoolCommand::desired_pool)
+  /// saturates at >= the ceiling instead of being exact, so this defaults
+  /// off and must stay off for multi-tenant runs whose arbiter consumes that
+  /// signal. With the bandit on, each arm carries its own setting, applied
+  /// on arm switches.
+  bool adaptive_horizon = false;
   /// Optional shared Plan scratch arena. When non-null, this controller's
   /// lookahead projects on these buffers instead of its own — the ensemble
   /// path hands N tenant controllers ONE arena (they are stepped strictly
@@ -73,6 +77,23 @@ struct WireOptions {
   predict::BanditOptions bandit;
 };
 
+// --- Benchmark compatibility block -------------------------------------
+// The benchmark probe (wirebench/probe.cpp) reads five names left over from
+// the retired incremental Analyze cache: AnalyzePath::kIncremental,
+// MapeTrace::analyze_path, MapeTrace::plan_stamped, LookaheadCacheStats'
+// memo_hits/memo_misses and WireController::lookahead_stats(). The
+// controller has one Analyze path (simulate_interval) and one Plan path
+// (steer), so they hold constants: analyze_path is never kIncremental,
+// plan_stamped is false and both counters are zero. Delete the block with
+// the benchmark's core.incremental_ratio, core.stamped_ratio and
+// core.memo_hit_ratio metrics.
+enum class AnalyzePath : std::uint8_t { kIncremental, kFromScratch };
+struct LookaheadCacheStats {
+  std::uint64_t memo_hits = 0;
+  std::uint64_t memo_misses = 0;
+};
+// --- end of the benchmark compatibility block --------------------------
+
 /// Per-iteration trace record (consumed by the overhead bench and tests).
 struct MapeTrace {
   sim::SimTime now = 0.0;
@@ -83,11 +104,8 @@ struct MapeTrace {
   std::uint32_t planned_pool = 0;
   std::uint32_t grow = 0;
   std::uint32_t releases = 0;
-  /// Which Analyze path produced the lookahead this tick (kDisabled when the
-  /// cache is off, kFirstTick placeholder under disable_lookahead).
-  AnalyzePath analyze_path = AnalyzePath::kFirstTick;
-  /// True when steering consumed the lookahead's inline Plan stamp
-  /// (planned_pool packed during Q_task emission) instead of re-packing.
+  /// Constants for the benchmark compatibility block above.
+  AnalyzePath analyze_path = AnalyzePath::kFromScratch;
   bool plan_stamped = false;
 };
 
@@ -116,11 +134,17 @@ class WireController final : public sim::ScalingPolicy {
   /// The live online predictor; requires the default (non-oracle) estimator.
   const predict::TaskPredictor& predictor() const;
 
-  /// The incremental lookahead's per-run statistics (path counts, memo
-  /// traffic, projection accuracy).
-  const LookaheadCacheStats& lookahead_stats() const {
-    return lookahead_.stats();
-  }
+  /// Always zero: see the benchmark compatibility block above.
+  LookaheadCacheStats lookahead_stats() const { return {}; }
+
+  /// The last plan() call's projection (Q_task, restart costs); empty before
+  /// the first tick. Valid until the next plan() call.
+  const LookaheadResult& lookahead() const { return lookahead_; }
+
+  /// The incomplete-predecessor counts the projection borrows; between
+  /// plan() calls, equal to a fresh derivation from the last snapshot (not
+  /// maintained under disable_lookahead).
+  const RunState& run_state() const { return run_state_; }
 
   /// The live memory predictor, or null when the run's memory dimension is
   /// off (valid between on_run_start and run end).
@@ -162,10 +186,18 @@ class WireController final : public sim::ScalingPolicy {
   /// costs the controller nothing, not even a branch per task).
   std::unique_ptr<predict::MemoryPredictor> memory_;
   /// Incomplete-predecessor counts for the lookahead, kept current in
-  /// O(changes) per tick from the snapshot's delta journal.
+  /// O(changes) per tick from the snapshot's delta journal and lent to
+  /// simulate_interval, which restores them before returning.
   RunState run_state_;
-  /// Persistent projected-schedule cache (the incremental Analyze phase).
-  IncrementalLookahead lookahead_;
+  /// This tick's projection, filled in place so its buffers persist across
+  /// ticks.
+  LookaheadResult lookahead_;
+  /// The Plan scratch arena: options_.plan_scratch when shared, else owned.
+  /// Never null.
+  std::shared_ptr<PlanScratch> scratch_;
+  /// The live adaptive-horizon setting: options_.adaptive_horizon, or the
+  /// bandit's current arm's.
+  bool adaptive_horizon_ = false;
   std::function<void(const MapeTrace&)> trace_listener_;
   std::uint32_t last_planned_pool_ = 0;
 };

@@ -26,9 +26,7 @@ class MemoryPredictor;
 namespace wire::core {
 
 /// One entry of the upcoming load Q_task. Field order packs the struct into
-/// 24 bytes (16 before the memory dimension); Q_task runs to thousands of
-/// entries per control tick and the emission loop is store-bandwidth-bound,
-/// so the layout is measurable.
+/// 24 bytes; Q_task runs to thousands of entries per control tick.
 struct UpcomingTask {
   /// Predicted minimum remaining slot occupancy at the start of the next
   /// interval (seconds).
@@ -41,40 +39,15 @@ struct UpcomingTask {
   bool on_slot = false;
   /// Projected memory reservation (MB) the entry will hold; 0 in memory-off
   /// runs. On-slot entries carry the booked reservation the projection saw,
-  /// queued entries the predictor's sizing — the SAME stored value both the
-  /// inline Plan-stamp packer and steer()'s from-scratch rebuild consume, so
-  /// the two paths cannot drift on memory grounds.
+  /// queued entries the predictor's sizing — the value the memory-aware
+  /// Algorithm 3 in steer() packs.
   double mem_mb = 0.0;
-};
-
-/// Per-entry Plan stamp for one Q_task entry, parallel to
-/// LookaheadResult::upcoming (stamps[i] annotates upcoming[i]). Emitted in
-/// steering-ready order: on-slot entries by projected completion, then the
-/// projected ready queue in dispatch order — exactly the order Algorithm 3
-/// consumes.
-struct WavefrontStamp {
-  /// Absolute projected completion time (deadline) of the slot's current
-  /// attempt; -1 for queued entries (no slot, no projected deadline).
-  /// Entries with deadline > horizon are projected still-busy at the next
-  /// interval start and are the ones charged restart cost.
-  double deadline = -1.0;
-  /// Absolute start time of the attempt occupying the slot; -1 for queued
-  /// entries.
-  double start = -1.0;
-  /// The occupancy Algorithm 3 packs for this entry: the steering clamp
-  /// (on-slot entries pinned at >= one charging unit) already applied.
-  double packed_occupancy = 0.0;
-  /// Hosting instance for on-slot entries; kInvalidInstance for queued ones.
-  sim::InstanceId instance = sim::kInvalidInstance;
 };
 
 struct LookaheadResult {
   /// Q_task in projected dispatch order (tasks already on slots first, by
   /// projected completion; then the projected ready queue).
   std::vector<UpcomingTask> upcoming;
-  /// Plan stamps parallel to `upcoming`, filled only when `plan_valid` is
-  /// set; empty otherwise.
-  std::vector<WavefrontStamp> stamps;
   /// Restart cost per instance: max sunk occupancy (seconds) among tasks
   /// projected to be running on it at the start of the next interval.
   /// Instances absent from the map have no running tasks (cost 0).
@@ -82,21 +55,19 @@ struct LookaheadResult {
   /// Tasks projected to complete within the interval.
   std::uint32_t projected_completions = 0;
   /// Queue-tail entries omitted by the adaptive horizon cap (see
-  /// LookaheadCacheOptions::adaptive_horizon). Always 0 from
-  /// simulate_interval and from the cache with the cap off; when non-zero,
-  /// `upcoming` is a prefix whose Algorithm-3 pool size already saturates
-  /// the binding instance ceiling, so the steering decision is unchanged.
+  /// simulate_interval's `adaptive_horizon`); always 0 with the cap off.
+  /// When non-zero, `upcoming` is a prefix whose Algorithm-3 pool size
+  /// already saturates the binding instance ceiling, so the steering
+  /// decision is unchanged.
   std::uint32_t truncated_tasks = 0;
-  /// Algorithm-3 planned pool size, packed inline during Q_task emission by
-  /// the same Alg3Packer steering would run from scratch. Meaningful only
-  /// when `plan_valid` is set.
-  std::uint32_t planned_pool = 0;
-  /// True when `stamps`/`planned_pool` were produced this tick under the
-  /// Plan-cache contract (incremental lookahead, quiet kIncremental tick);
-  /// steer() then consumes `planned_pool` directly. False from
-  /// simulate_interval, from every fallback classification, and whenever
-  /// plan stamping is disabled — steer() rebuilds from `upcoming`.
-  bool plan_valid = false;
+
+  /// Empties the result in place, keeping the buffers' capacity.
+  void clear() {
+    upcoming.clear();
+    restart_cost.clear();
+    projected_completions = 0;
+    truncated_tasks = 0;
+  }
 };
 
 /// Projects execution from snapshot.now to snapshot.now + lag with the
@@ -105,17 +76,21 @@ struct LookaheadResult {
 /// excluded and their tasks requeued). FIFO dispatch, mirroring the
 /// framework master. The policy controller's predicted assignment may drift
 /// from the true schedule; §III-D argues (and §IV-E confirms) the effect is
-/// minor.
+/// minor. `result` is cleared and filled in place, so a persistent caller
+/// (the controller) reuses its buffers across ticks.
 ///
-/// `state`, when non-null and ready, supplies the incomplete-predecessor
-/// counts maintained incrementally across ticks (see RunState), replacing
-/// the O(V + E) per-call seeding scan with an O(V) copy. Null keeps the
-/// self-contained from-scratch derivation (tests, one-shot callers).
+/// `state`, when non-null and ready, lends its incomplete-predecessor
+/// counts, maintained incrementally across ticks (see RunState): the
+/// projection decrements them as it fires tasks, records each decrement in
+/// an undo log and restores them before returning, so a tick costs
+/// O(projected firings) instead of an O(V + E) seeding scan or an O(V)
+/// copy. Null (or not ready) seeds the counts from the snapshot instead
+/// (tests, one-shot callers). The result is bit-identical either way.
 ///
 /// `scratch`, when non-null, lends the projection's transient buffers (busy
-/// heap, free-slot heap, ready queue, emission buffers) from a reusable
-/// arena instead of allocating them per call; null keeps self-contained
-/// local buffers. The result is bit-identical either way.
+/// heap, free-slot heap, ready queue, emission buffers, undo log) from a
+/// reusable arena instead of allocating them per call; null keeps
+/// self-contained local buffers. The result is bit-identical either way.
 ///
 /// `memory`, when non-null (and config.memory.enabled()), makes the
 /// projection memory-aware: dispatch admits a task only onto an instance
@@ -124,13 +99,31 @@ struct LookaheadResult {
 /// that reservation for the memory-aware Algorithm 3. Null (or memory off)
 /// keeps the memory-unaware projection byte-identical to the pre-memory
 /// code path.
+///
+/// `adaptive_horizon` turns on the adaptive horizon cap: under a finite
+/// snapshot.pool_cap, queue-tail emission stops once Algorithm 3's pool
+/// size provably saturates that ceiling (see lookahead.cpp for the bound).
+/// Steering decisions are unchanged; the unclamped demand signal
+/// (PoolCommand::desired_pool) saturates at >= the ceiling instead of being
+/// exact, so the cap must stay off for multi-tenant runs whose arbiter
+/// consumes that signal.
+void simulate_interval(const dag::Workflow& workflow,
+                       const sim::MonitorSnapshot& snapshot,
+                       const predict::Estimator& predictor,
+                       const sim::CloudConfig& config, LookaheadResult& result,
+                       RunState* state = nullptr, PlanScratch* scratch = nullptr,
+                       const predict::MemoryPredictor* memory = nullptr,
+                       bool adaptive_horizon = false);
+
+/// The same projection into a fresh result.
 LookaheadResult simulate_interval(const dag::Workflow& workflow,
                                   const sim::MonitorSnapshot& snapshot,
                                   const predict::Estimator& predictor,
                                   const sim::CloudConfig& config,
-                                  const RunState* state = nullptr,
+                                  RunState* state = nullptr,
                                   PlanScratch* scratch = nullptr,
                                   const predict::MemoryPredictor* memory =
-                                      nullptr);
+                                      nullptr,
+                                  bool adaptive_horizon = false);
 
 }  // namespace wire::core

@@ -2,7 +2,7 @@
 // steering), shared across control ticks — and, in multi-tenant runs, across
 // tenant controllers.
 //
-// The projection event loop (lookahead_impl.h) and the steering policy
+// The projection event loop (lookahead.cpp) and the steering policy
 // (steering.cpp) together allocate roughly a dozen transient containers per
 // control tick: the busy-slot heap, the free-slot heap, the projected ready
 // queue, the Q_task emission buffers, the victim-candidate list. Each is
@@ -58,8 +58,8 @@ struct VictimCandidate {
 };
 
 struct PlanScratch {
-  // --- projection event loop (detail::simulate_interval_impl) ---
-  /// Busy slots as a heap ordered by detail::LaterFinish (top = front).
+  // --- projection event loop (simulate_interval, lookahead.cpp) ---
+  /// Busy slots as a heap, earliest projected finish on top (front).
   std::vector<BusySlot> busy;
   /// Free slots as a min-heap of instance ids (duplicates = multiple slots).
   std::vector<sim::InstanceId> free_slots;
@@ -75,9 +75,6 @@ struct PlanScratch {
   /// Slots still occupied at the horizon, in projected-completion order.
   std::vector<BusySlot> still_busy;
 
-  // --- incremental-lookahead per-tick capture (IncrementalLookahead) ---
-  std::vector<dag::TaskId> projected_complete;
-  std::vector<dag::TaskId> projected_running;
   /// Undo log for borrowed RunState predecessor counters.
   std::vector<dag::TaskId> undo;
   /// Locally seeded predecessor counters when no RunState is available.
@@ -102,8 +99,7 @@ struct PlanScratch {
     const auto vec = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
     return sizeof(*this) + vec(busy) + vec(free_slots) + vec(ready) +
            vec(boots) + vec(speculative) + vec(still_busy) +
-           vec(mem_instances) + vec(projected_complete) +
-           vec(projected_running) + vec(undo) + vec(local_preds) +
+           vec(mem_instances) + vec(undo) + vec(local_preds) +
            vec(occupancy) + vec(occupancy_mem) + vec(candidates) +
            occupancy_override.size() * (sizeof(dag::TaskId) + sizeof(double));
   }

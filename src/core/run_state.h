@@ -44,11 +44,11 @@ class RunState {
     return remaining_preds_;
   }
 
-  /// Mutable access for the incremental lookahead's speculative projection:
-  /// the cache decrements counters as it fires tasks inside its event loop
-  /// (recording an undo log) and restores every decrement before returning,
-  /// replacing the O(V) copy per tick with O(projected firings). Requires
-  /// ready(); callers must leave the counters exactly as found.
+  /// Mutable access for the lookahead's speculative projection:
+  /// simulate_interval decrements counters as it fires tasks inside its
+  /// event loop (recording an undo log) and restores every decrement before
+  /// returning, replacing the O(V) copy per tick with O(projected firings).
+  /// Requires ready(); callers must leave the counters exactly as found.
   std::vector<std::uint32_t>& speculative_preds() {
     WIRE_REQUIRE(synced_, "speculative access before first update");
     return remaining_preds_;

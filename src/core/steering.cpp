@@ -82,12 +82,6 @@ sim::PoolCommand steer(const LookaheadResult& lookahead,
   std::uint32_t planned = 0;
   if (lookahead.upcoming.empty()) {
     planned = snapshot.incomplete_tasks > 0 ? 1u : 0u;
-  } else if (lookahead.plan_valid) {
-    // Stamped wavefront (quiet tick): the Algorithm-3 size was packed inline
-    // during Q_task emission by the same Alg3Packer this function would run,
-    // fed the identically clamped occupancies in the identical order —
-    // consuming it skips the rebuild below without a bit of drift.
-    planned = lookahead.planned_pool;
   } else {
     PlanScratch local_scratch;
     PlanScratch& s = scratch != nullptr ? *scratch : local_scratch;

@@ -25,12 +25,9 @@ namespace wire::core {
 
 /// The one implementation of Algorithm 3's greedy packer, consumed one
 /// occupancy at a time. `resize_pool` drives it over a whole vector; the
-/// lookahead skeleton drives the identical object online — both for the
-/// adaptive horizon cap's stopping rule and to stamp the projected wavefront
-/// with a steering-ready planned pool size during Q_task emission. One
-/// implementation is what makes the stamped and from-scratch plan paths
-/// bit-equal by construction: the packing arithmetic cannot drift between
-/// two hand-synchronized copies.
+/// lookahead drives the identical object online for the adaptive horizon
+/// cap's stopping rule, so the cap's bound and the planned size share one
+/// packing arithmetic.
 class Alg3Packer {
  public:
   /// `instance_mem_mb` > 0 turns on memory-aware packing: the open virtual
@@ -155,16 +152,6 @@ std::uint32_t resize_pool(const std::vector<double>& upcoming,
 /// PoolCommand::desired_pool. Shrinking goes through release_toward(), with
 /// the lookahead's per-instance restart cost c_j as the cost floor and the
 /// sunk cost charged at each instance's charge boundary.
-///
-/// Plan-phase incrementality: when `lookahead.plan_valid` is set (the
-/// incremental lookahead stamped the wavefront on a quiet tick), the
-/// Algorithm-3 size is consumed directly from `lookahead.planned_pool` —
-/// packed inline during Q_task emission by the same Alg3Packer — instead of
-/// rebuilding the clamped occupancy vector and re-packing it here. Unstamped
-/// results (the from-scratch reference, every fallback classification,
-/// hand-built fixtures) take the full rebuild path. Both paths are
-/// bit-identical by construction; the differential chaos suite asserts it
-/// at every control tick.
 ///
 /// `scratch`, when non-null, lends reusable buffers for the occupancy
 /// rebuild and the victim-candidate list (persistent controllers); null

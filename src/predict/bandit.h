@@ -19,9 +19,9 @@
 //     (typically util::derive_seed from the run seed on a dedicated stream),
 //     so enabling the selector perturbs no other stochastic draw in the
 //     simulation; the same seed replays the identical arm-switch sequence.
-//   - Arm switches are applied through TaskPredictor::reconfigure, which
-//     bumps every stage revision — the Analyze/Plan memo keys — so cached
-//     estimates can never outlive the config that produced them.
+//   - Arm switches are applied through TaskPredictor::reconfigure between
+//     control ticks, so every estimate a tick's lookahead reads comes from
+//     one configuration.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +36,7 @@ namespace wire::predict {
 
 /// One selectable predictor configuration. `adaptive_horizon` rides along
 /// because the horizon cap lives in the lookahead, not the predictor — the
-/// controller applies it to its IncrementalLookahead on switch.
+/// controller applies it to its projection on switch.
 struct BanditArm {
   PredictorConfig config;
   bool adaptive_horizon = false;

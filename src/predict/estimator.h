@@ -34,14 +34,6 @@ class Estimator {
   /// Current data-transfer time estimate (t̃_data), seconds.
   virtual double transfer_estimate() const = 0;
 
-  /// Monotone revision counter over the estimator's *internal* model state:
-  /// it must advance whenever an estimate this object could return for some
-  /// fixed (task, snapshot) input may have changed. Consumers (the
-  /// incremental lookahead cache) use it to detect refits between control
-  /// ticks. Estimators whose estimates are pure functions of the workflow
-  /// and cloud config (oracle, history) keep the default constant 0.
-  virtual std::uint64_t revision() const { return 0; }
-
   /// Resident state footprint in bytes (overhead accounting).
   virtual std::size_t state_bytes() const = 0;
 };

@@ -16,7 +16,6 @@ MemoryPredictor::MemoryPredictor(const dag::Workflow& workflow,
       slots_per_instance_(slots_per_instance),
       sizer_(config, slots_per_instance, workflow.stage_count()),
       stage_counts_(workflow.stage_count(), 0),
-      stage_revisions_(workflow.stage_count(), 0),
       stage_mark_(workflow.stage_count(), 0),
       harvested_(workflow.task_count(), false) {
   WIRE_REQUIRE(config.enabled(),
@@ -32,14 +31,11 @@ void MemoryPredictor::record_peak(TaskId task,
   sizer_.observe_peak(stage, obs.peak_mem_mb);
   ++stage_counts_[stage];
   if (stage_mark_[stage] != observe_epoch_) {
-    // One refit per stage per observe(): a bursty delta completing many
-    // same-stage tasks advances the stage revision once, so downstream
-    // revision-keyed memos re-derive the stage estimate once, not per task.
+    // One refit per stage per observe(), however many same-stage tasks a
+    // bursty delta completed.
     stage_mark_[stage] = observe_epoch_;
-    ++stage_revisions_[stage];
     ++total_refits_;
   }
-  observe_changed_ = true;
 }
 
 bool MemoryPredictor::reconfigure(const sim::MemoryConfig& config) {
@@ -57,17 +53,12 @@ bool MemoryPredictor::reconfigure(const sim::MemoryConfig& config) {
   }
   config_ = config;
   sizer_.reconfigure(config, slots_per_instance_);
-  // predict_reservation output may change for every stage under the new
-  // sizing policy; move every revision so no memoized reservation survives.
-  for (std::uint64_t& rev : stage_revisions_) ++rev;
-  ++revision_;
   return true;
 }
 
 void MemoryPredictor::observe(const sim::MonitorSnapshot& snapshot) {
   WIRE_REQUIRE(snapshot.tasks.size() == workflow_->task_count(),
                "snapshot does not match the workflow");
-  observe_changed_ = false;
   ++observe_epoch_;
   if (snapshot.delta.exact) {
     for (TaskId t : snapshot.delta.completed) {
@@ -79,7 +70,6 @@ void MemoryPredictor::observe(const sim::MonitorSnapshot& snapshot) {
       record_peak(t, snapshot.tasks[t]);
     }
   }
-  if (observe_changed_) ++revision_;
 }
 
 double MemoryPredictor::predict_reservation(
@@ -95,11 +85,6 @@ double MemoryPredictor::predict_reservation(
                                obs.oom_attempts);
 }
 
-std::uint64_t MemoryPredictor::stage_revision(StageId stage) const {
-  WIRE_REQUIRE(stage < stage_revisions_.size(), "unknown stage id");
-  return stage_revisions_[stage];
-}
-
 std::size_t MemoryPredictor::stage_samples(StageId stage) const {
   WIRE_REQUIRE(stage < stage_counts_.size(), "unknown stage id");
   return stage_counts_[stage];
@@ -108,7 +93,6 @@ std::size_t MemoryPredictor::stage_samples(StageId stage) const {
 std::size_t MemoryPredictor::state_bytes() const {
   std::size_t bytes = sizeof(*this);
   bytes += stage_counts_.capacity() * sizeof(std::size_t);
-  bytes += stage_revisions_.capacity() * sizeof(std::uint64_t);
   bytes += stage_mark_.capacity() * sizeof(std::uint64_t);
   bytes += harvested_.capacity() / 8;
   for (StageId s = 0; s < stage_counts_.size(); ++s) {

@@ -12,11 +12,6 @@
 //
 // Running tasks report their actual booked reservation in the snapshot, so
 // the projection seeds in-flight attempts exactly.
-//
-// Revision discipline follows TaskPredictor: `revision()` advances at most
-// once per observe(), `stage_revision(s)` exactly when stage `s` ingested new
-// peaks — the same monotone-counter scheme core::IncrementalLookahead keys
-// its memos on.
 #pragma once
 
 #include <cstdint>
@@ -52,31 +47,17 @@ class MemoryPredictor {
 
   /// Swaps the live sizing configuration in place (the reconfiguration seam
   /// TaskPredictor::reconfigure opens on the execution side). Keeps every
-  /// accumulated peak history; bumps every stage revision and the predictor
-  /// revision because predict_reservation is a pure function of (config,
-  /// stage history, oom count) and any revision-keyed memo of it would
-  /// otherwise serve estimates sized under the old policy. A no-op
-  /// returning false when `config` matches the live one bitwise-relevant
-  /// fields included. The memory dimension cannot be toggled on a live
-  /// predictor (`enabled()` must stay true) and `slots_per_instance` is the
-  /// bound instance shape.
+  /// accumulated peak history. A no-op returning false when `config`
+  /// matches the live one, bitwise-relevant fields included. The memory
+  /// dimension cannot be toggled on a live predictor (`enabled()` must stay
+  /// true) and `slots_per_instance` is the bound instance shape.
   bool reconfigure(const sim::MemoryConfig& config);
 
-  /// Monotone revision of `stage`'s peak history: advances (at most once per
-  /// observe()) exactly when a harvest ingested new peaks for the stage.
-  /// Batched like TaskPredictor's stage revisions: a bursty delta completing
-  /// many same-stage tasks in one tick is ONE refit, not one per task, so
-  /// revision-keyed memos (core::IncrementalLookahead) re-derive once.
-  std::uint64_t stage_revision(dag::StageId stage) const;
-
-  /// Total stage refits (stage-revision bumps) across the run — the batching
-  /// observable: bounded by observe() calls times touched stages, not by
-  /// ingested peaks (asserted by the monitor-store chaos probe).
+  /// Total stage refits across the run: a harvest that ingests new peaks
+  /// for a stage counts one refit for it, however many same-stage tasks its
+  /// delta completed — the batching observable, bounded by observe() calls
+  /// times touched stages, not by ingested peaks.
   std::uint64_t total_refits() const { return total_refits_; }
-
-  /// Predictor revision: advances (once) per observe() that changed any
-  /// stage history.
-  std::uint64_t revision() const { return revision_; }
 
   /// Completed peaks ingested for `stage` so far.
   std::size_t stage_samples(dag::StageId stage) const;
@@ -93,18 +74,14 @@ class MemoryPredictor {
   /// The shared sizing core; holds the per-stage sorted peak histories.
   sim::TaskMemorySizer sizer_;
   std::vector<std::size_t> stage_counts_;
-  std::vector<std::uint64_t> stage_revisions_;
-  /// Per-stage epoch mark: stage_revisions_[s] is bumped only when
-  /// stage_mark_[s] != observe_epoch_ — the first ingested peak of the stage
-  /// this observe(); subsequent same-stage peaks in the same burst ride on
-  /// the same bump.
+  /// Per-stage epoch mark: a refit is counted only when stage_mark_[s] !=
+  /// observe_epoch_ — the first ingested peak of the stage this observe();
+  /// subsequent same-stage peaks in the same burst ride on the same refit.
   std::vector<std::uint64_t> stage_mark_;
   /// Tasks whose completion peak was already ingested (idempotence guard).
   std::vector<bool> harvested_;
-  std::uint64_t revision_ = 0;
   std::uint64_t observe_epoch_ = 0;
   std::uint64_t total_refits_ = 0;
-  bool observe_changed_ = false;
 };
 
 }  // namespace wire::predict

@@ -110,7 +110,6 @@ void TaskPredictor::observe(const sim::MonitorSnapshot& snapshot) {
   WIRE_REQUIRE(snapshot.tasks.size() == workflow_->task_count(),
                "snapshot does not match the workflow");
   ++iterations_;
-  last_refit_stages_ = 0;
 
   std::vector<double> interval_transfers;
   if (snapshot.delta.exact) {
@@ -140,11 +139,9 @@ void TaskPredictor::observe(const sim::MonitorSnapshot& snapshot) {
 
   // t̃_data: median transfer of the tasks completed in this interval; the
   // previous estimate persists through empty intervals.
-  bool changed = false;
   if (!interval_transfers.empty()) {
     transfer_estimate_ = center(std::move(interval_transfers));
     has_transfer_estimate_ = true;
-    changed = true;
   }
 
   // One Algorithm-1 epoch per stage with new completions. The training set is
@@ -155,16 +152,14 @@ void TaskPredictor::observe(const sim::MonitorSnapshot& snapshot) {
     if (!stage.dirty) continue;
     stage.dirty = false;
     // All learned-state mutations (record_completion, observe_failure
-    // ingestion, the model.update below) mark the stage dirty and land
-    // before any predict call, so one bump per refit is exact. The pending
-    // sample batches merge here, once per dirty stage per harvest.
+    // ingestion) mark the stage dirty, so a bursty delta costs one refit
+    // per touched stage: the pending sample batches merge here, once per
+    // dirty stage per harvest.
     flush_samples(stage.completed_exec);
     for (auto& [key, group] : stage.groups) {
       flush_samples(group.exec);
     }
-    ++stage.revision;
-    ++last_refit_stages_;
-    changed = true;
+    ++total_refits_;
     std::vector<TrainingPoint> training;
     training.reserve(stage.groups.size());
     for (const auto& [key, group] : stage.groups) {
@@ -176,12 +171,6 @@ void TaskPredictor::observe(const sim::MonitorSnapshot& snapshot) {
     }
     stage.model.update(training);
   }
-  // One estimator-revision bump per harvest, however bursty the delta:
-  // consumers compare revisions for (in)equality, so collapsing the
-  // per-stage/per-field bumps into one keeps every memo key semantically
-  // identical while making a 200-completion tick cost the same invalidation
-  // as a single completion.
-  if (changed) ++revision_;
 }
 
 Prediction TaskPredictor::predict_exec(
@@ -281,15 +270,10 @@ bool TaskPredictor::reconfigure(const PredictorConfig& config) {
     for (auto& [key, group] : stage.groups) {
       flush_samples(group.exec);
     }
-    // Every stage revision moves, data or not: predict_exec's output may
-    // change for any stage (centre statistic, OGD fallback), and the memo
-    // contract is that a surviving key proves the estimate is unchanged.
-    ++stage.revision;
   }
   // The transfer estimate is a point value carried forward between
   // intervals; its source samples are not retained, so it keeps the value
   // computed under the old centre until the next non-empty interval.
-  ++revision_;
   return true;
 }
 
@@ -297,13 +281,7 @@ double TaskPredictor::predict_remaining_occupancy(
     TaskId task, const sim::MonitorSnapshot& snapshot) const {
   const sim::TaskObservation& obs = snapshot.tasks[task];
   if (obs.phase == TaskPhase::Completed) return 0.0;
-  return remaining_occupancy_with(predict_exec(task, snapshot).exec_seconds,
-                                  obs);
-}
-
-double TaskPredictor::remaining_occupancy_with(
-    double exec_seconds, const sim::TaskObservation& obs) const {
-  if (obs.phase == TaskPhase::Completed) return 0.0;
+  const double exec_seconds = predict_exec(task, snapshot).exec_seconds;
   const double t_data = has_transfer_estimate_ ? transfer_estimate_ : 0.0;
 
   if (obs.phase == TaskPhase::Running) {
@@ -319,11 +297,6 @@ double TaskPredictor::remaining_occupancy_with(
 
   // Ready or pending: full transfer + execution estimate.
   return t_data + exec_seconds;
-}
-
-std::uint64_t TaskPredictor::stage_revision(StageId stage) const {
-  WIRE_REQUIRE(stage < stages_.size(), "unknown stage id");
-  return stages_[stage].revision;
 }
 
 const OgdModel& TaskPredictor::stage_model(StageId stage) const {

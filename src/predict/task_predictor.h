@@ -102,11 +102,8 @@ class TaskPredictor : public Estimator {
   /// arm-switch hook. Rebuilds every cached sample centre under the new
   /// centre statistic (bit-identical to a from-scratch predictor fed the
   /// same history: mean = sum/size, median from the sorted multiset — both
-  /// reversible), retargets the per-stage OGD learning rate, and bumps every
-  /// stage revision plus the estimator revision so downstream
-  /// revision-keyed memos (core::IncrementalLookahead) cannot serve
-  /// estimates computed under the old config. A no-op returning false when
-  /// `config` matches the live one (no revision bumps — `arms == 1`
+  /// reversible) and retargets the per-stage OGD learning rate. A no-op
+  /// returning false when `config` matches the live one (`arms == 1`
   /// selectors stay byte-identical to selector-off). `input_bucket_rel_tol`
   /// must not change: the group buckets are keyed by it and merged
   /// histories cannot be re-bucketed.
@@ -127,30 +124,11 @@ class TaskPredictor : public Estimator {
   double predict_remaining_occupancy(
       dag::TaskId task, const sim::MonitorSnapshot& snapshot) const override;
 
-  /// The remaining-occupancy composition with the execution estimate
-  /// supplied by the caller (the incremental lookahead's revision-validated
-  /// memo). predict_remaining_occupancy(t, snap) ==
-  /// remaining_occupancy_with(predict_exec(t, snap).exec_seconds,
-  /// snap.tasks[t]) bit-for-bit — both route through this one
-  /// implementation, so a memoized exec estimate cannot drift from the
-  /// direct path by a reassociated expression.
-  double remaining_occupancy_with(double exec_seconds,
-                                  const sim::TaskObservation& obs) const;
-
-  /// Monotone revision of `stage`'s learned state (completion centres,
-  /// input-size groups, OGD model): advances exactly when a harvest refits
-  /// the stage. Once a stage has completions, predict_exec is a pure
-  /// function of (stage revision, task spec, readiness class) — the
-  /// incremental lookahead memoizes on that key.
-  std::uint64_t stage_revision(dag::StageId stage) const;
-
-  /// Estimator revision: advances whenever any stage refits or the
-  /// transfer-time estimate moves.
-  std::uint64_t revision() const override { return revision_; }
-
-  /// Number of stages refit by the most recent observe() call — the
-  /// incremental lookahead's model-drift signal.
-  std::uint32_t last_refit_stages() const { return last_refit_stages_; }
+  /// Total stage refits (one Algorithm-1 epoch over a stage's new
+  /// completions) across the run — the batching observable: a harvest
+  /// refits each touched stage once however bursty its delta, so this is
+  /// bounded by observe() calls times stages, not by completions.
+  std::uint64_t total_refits() const { return total_refits_; }
 
   /// Current t̃_data estimate (total in+out transfer, seconds). Zero until
   /// the first observation.
@@ -208,8 +186,7 @@ class TaskPredictor : public Estimator {
     SampleSet completed_exec;
     std::map<long, Group> groups;
     std::uint32_t completed = 0;
-    std::uint64_t revision = 0;  // bumped per refit (see stage_revision)
-    bool dirty = false;          // new completions since the last OGD epoch
+    bool dirty = false;  // new completions since the last OGD epoch
   };
 
   /// Records one newly observed completion (shared by the delta and the
@@ -234,8 +211,7 @@ class TaskPredictor : public Estimator {
   std::vector<std::uint32_t> seen_failed_;
   double transfer_estimate_ = 0.0;
   bool has_transfer_estimate_ = false;
-  std::uint64_t revision_ = 0;
-  std::uint32_t last_refit_stages_ = 0;
+  std::uint64_t total_refits_ = 0;
   std::size_t iterations_ = 0;
 };
 

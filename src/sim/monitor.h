@@ -167,8 +167,7 @@ struct MonitorDelta {
   /// deliberately NOT listed — they change on almost every busy tick and are
   /// visible in the instance rows themselves. Like every other list this is
   /// derivable by diffing consecutive snapshots' instance rows, so it widens
-  /// nothing; it lets the incremental lookahead classify pool stability in
-  /// O(1) instead of re-diffing the rows per tick.
+  /// nothing.
   std::vector<InstanceId> instances_changed;
 };
 

@@ -1,16 +1,17 @@
-// Differential chaos suite and property tests for the incremental lookahead
-// (core/lookahead_cache.*).
+// Differential chaos suite and property tests for the controller's reused
+// lookahead projection (core/lookahead.*, tests/projection_check.h).
 //
-// The hard contract: IncrementalLookahead::tick(delta) equals the
-// from-scratch simulate_interval — full `upcoming` vector, `restart_cost`
-// map, `projected_completions` — at EVERY control tick, compared with exact
-// (bitwise) double equality, under every fault-model scenario the chaos
-// suite knows (crashes with revocation notice, straggler boots, provision
-// failures, transient task faults, dropout-coalesced deltas). A single ulp
-// of drift in the memoized path shows up here before it can flip a steering
-// decision.
+// The hard contract: at EVERY control tick the controller's projection —
+// RunState counters borrowed under an undo log, one LookaheadResult and one
+// scratch arena reused across ticks — equals a fresh self-seeded
+// simulate_interval bit for bit (full `upcoming` vector, `restart_cost` map,
+// `projected_completions`), under every fault-model scenario the chaos suite
+// knows (crashes with revocation notice, straggler boots, provision
+// failures, transient task faults, dropout-coalesced snapshots). A single
+// ulp of drift in the reused path shows up here before it can flip a
+// steering decision.
 //
-// Alongside, seeded property sweeps pin the lookahead's output invariants
+// Alongside, seeded property sweeps pin the projection's output invariants
 // over random DAGs × predictors. Two of the stated invariants deserve their
 // honest, implementation-true form:
 //   - "restart_cost[i] <= horizon - now" holds only for instances whose
@@ -33,18 +34,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/controller.h"
 #include "core/lookahead.h"
-#include "core/lookahead_cache.h"
 #include "core/run_state.h"
 #include "core/steering.h"
-#include "predict/oracle.h"
+#include "dag/workflow.h"
 #include "predict/task_predictor.h"
+#include "projection_check.h"
 #include "sim/driver.h"
 #include "sim/engine.h"
 #include "workload/generators.h"
@@ -56,28 +56,6 @@ using dag::TaskId;
 using sim::CloudConfig;
 using sim::MonitorSnapshot;
 using sim::TaskPhase;
-
-void expect_lookahead_eq(const LookaheadResult& got,
-                         const LookaheadResult& want) {
-  ASSERT_EQ(got.upcoming.size(), want.upcoming.size());
-  for (std::size_t i = 0; i < got.upcoming.size(); ++i) {
-    SCOPED_TRACE("upcoming entry " + std::to_string(i));
-    EXPECT_EQ(got.upcoming[i].task, want.upcoming[i].task);
-    // Bitwise double equality: EXPECT_EQ, not EXPECT_DOUBLE_EQ — ulp drift
-    // is exactly the bug class this suite exists to catch.
-    EXPECT_EQ(got.upcoming[i].remaining_occupancy,
-              want.upcoming[i].remaining_occupancy);
-    EXPECT_EQ(got.upcoming[i].on_slot, want.upcoming[i].on_slot);
-  }
-  EXPECT_EQ(got.projected_completions, want.projected_completions);
-  EXPECT_EQ(got.truncated_tasks, want.truncated_tasks);
-  ASSERT_EQ(got.restart_cost.size(), want.restart_cost.size());
-  for (const auto& [inst, cost] : want.restart_cost) {
-    const auto it = got.restart_cost.find(inst);
-    ASSERT_NE(it, got.restart_cost.end()) << "missing instance " << inst;
-    EXPECT_EQ(it->second, cost) << "restart cost drift on instance " << inst;
-  }
-}
 
 void expect_lookahead_invariants(const MonitorSnapshot& snap,
                                  const LookaheadResult& result,
@@ -183,202 +161,6 @@ void expect_lookahead_invariants(const MonitorSnapshot& snap,
   }
 }
 
-void expect_pool_command_eq(const sim::PoolCommand& got,
-                            const sim::PoolCommand& want) {
-  EXPECT_EQ(got.desired_pool, want.desired_pool);
-  EXPECT_EQ(got.grow, want.grow);
-  EXPECT_EQ(got.cancel_drains, want.cancel_drains);
-  ASSERT_EQ(got.releases.size(), want.releases.size());
-  for (std::size_t i = 0; i < got.releases.size(); ++i) {
-    EXPECT_EQ(got.releases[i].instance, want.releases[i].instance);
-    EXPECT_EQ(got.releases[i].at_charge_boundary,
-              want.releases[i].at_charge_boundary);
-  }
-}
-
-/// Plan-stamp consistency: a stamped result must be self-describing — the
-/// stamps alone reproduce the clamped Algorithm-3 inputs, the packed pool
-/// size, and the restart-cost map, all bitwise.
-void expect_plan_stamps_consistent(const MonitorSnapshot& snap,
-                                   const LookaheadResult& result,
-                                   const CloudConfig& config) {
-  ASSERT_EQ(result.stamps.size(), result.upcoming.size());
-  const double horizon = snap.now + config.lag_seconds;
-  std::vector<double> packed;
-  packed.reserve(result.stamps.size());
-  std::map<sim::InstanceId, double> rebuilt_cost;
-  for (std::size_t i = 0; i < result.stamps.size(); ++i) {
-    SCOPED_TRACE("stamp " + std::to_string(i));
-    const UpcomingTask& u = result.upcoming[i];
-    const WavefrontStamp& s = result.stamps[i];
-    // The stamp carries the steering clamp already applied (bitwise).
-    const double want_packed =
-        u.on_slot
-            ? std::max(u.remaining_occupancy, config.charging_unit_seconds)
-            : u.remaining_occupancy;
-    EXPECT_EQ(s.packed_occupancy, want_packed);
-    packed.push_back(s.packed_occupancy);
-    if (!u.on_slot) {
-      EXPECT_EQ(s.instance, sim::kInvalidInstance);
-      EXPECT_EQ(s.deadline, -1.0);
-      EXPECT_EQ(s.start, -1.0);
-      continue;
-    }
-    EXPECT_NE(s.instance, sim::kInvalidInstance);
-    if (s.deadline > horizon) {
-      // Still busy at the interval start: charged restart cost from its
-      // attempt start.
-      auto [it, inserted] = rebuilt_cost.emplace(s.instance, 0.0);
-      it->second = std::max(it->second, horizon - s.start);
-    } else {
-      // Speculative completion: projected to finish inside the interval,
-      // pinned at zero remaining occupancy, never restart-charged.
-      EXPECT_EQ(u.remaining_occupancy, 0.0);
-    }
-  }
-  // The stamped pool size is exactly what Algorithm 3 computes from the
-  // stamped occupancies.
-  EXPECT_EQ(resize_pool(packed, config.charging_unit_seconds,
-                        config.slots_per_instance,
-                        config.restart_cost_fraction),
-            result.planned_pool);
-  // The restart-cost map is exactly reconstructible from the stamps.
-  ASSERT_EQ(rebuilt_cost.size(), result.restart_cost.size());
-  for (const auto& [inst, cost] : rebuilt_cost) {
-    const auto it = result.restart_cost.find(inst);
-    ASSERT_NE(it, result.restart_cost.end()) << "missing instance " << inst;
-    EXPECT_EQ(it->second, cost);
-  }
-}
-
-/// The WIRE MAPE loop with both Analyze paths run side by side: at every
-/// control tick the incremental cache's result is compared (bitwise) against
-/// the from-scratch reference, the output invariants are checked, the
-/// steering command computed from the (possibly Plan-stamped) cache result
-/// is compared against the command from the unstamped reference, and —
-/// optionally — a second cache with the adaptive horizon cap verifies that
-/// truncation never changes the steering command.
-class DifferentialWirePolicy final : public sim::ScalingPolicy {
- public:
-  explicit DifferentialWirePolicy(bool use_oracle = false,
-                                  predict::PredictorConfig predictor_config = {},
-                                  bool check_adaptive = true)
-      : use_oracle_(use_oracle),
-        predictor_config_(predictor_config),
-        check_adaptive_(check_adaptive) {}
-
-  std::string name() const override { return "wire-differential"; }
-
-  void on_run_start(const dag::Workflow& workflow,
-                    const CloudConfig& config) override {
-    workflow_ = &workflow;
-    config_ = config;
-    if (use_oracle_) {
-      estimator_ = std::make_unique<predict::OracleEstimator>(
-          workflow, config.variability.transfer_latency_seconds,
-          config.variability.bandwidth_mb_per_s);
-      online_ = nullptr;
-    } else {
-      auto online = std::make_unique<predict::TaskPredictor>(
-          workflow, predictor_config_);
-      online_ = online.get();
-      estimator_ = std::move(online);
-    }
-    run_state_.reset();
-    cache_ = IncrementalLookahead(LookaheadCacheOptions{});
-    cache_.reset(workflow);
-    LookaheadCacheOptions capped;
-    capped.adaptive_horizon = true;
-    capped_cache_ = IncrementalLookahead(capped);
-    capped_cache_.reset(workflow);
-  }
-
-  sim::PoolCommand plan(const MonitorSnapshot& snapshot) override {
-    estimator_->observe(snapshot);
-    run_state_.update(*workflow_, snapshot);
-
-    const LookaheadResult reference = simulate_interval(
-        *workflow_, snapshot, *estimator_, config_, &run_state_);
-    const LookaheadResult& incremental = cache_.tick(
-        *workflow_, snapshot, *estimator_, online_, config_, &run_state_);
-    {
-      SCOPED_TRACE("tick at t=" + std::to_string(snapshot.now) + " (path " +
-                   std::string(analyze_path_label(cache_.last_path())) + ")");
-      expect_lookahead_eq(incremental, reference);
-      expect_lookahead_invariants(snapshot, incremental, config_);
-    }
-
-    std::uint32_t planned = 0;
-    sim::PoolCommand cmd =
-        steer(incremental, snapshot, config_, &planned, false);
-
-    // Plan differential: the command steered from the cache's result (which
-    // carries an inline Plan stamp on quiet ticks) must equal the command
-    // rebuilt from scratch off the unstamped reference — bitwise, at every
-    // tick, under chaos.
-    {
-      SCOPED_TRACE("plan differential at t=" + std::to_string(snapshot.now) +
-                   (incremental.plan_valid ? " (stamped)" : " (unstamped)"));
-      EXPECT_FALSE(reference.plan_valid)
-          << "simulate_interval must never stamp";
-      std::uint32_t ref_planned = 0;
-      const sim::PoolCommand ref_cmd =
-          steer(reference, snapshot, config_, &ref_planned, false);
-      EXPECT_EQ(planned, ref_planned);
-      expect_pool_command_eq(cmd, ref_cmd);
-      if (incremental.plan_valid) {
-        ++stamped_ticks_;
-        expect_plan_stamps_consistent(snapshot, incremental, config_);
-      } else {
-        EXPECT_TRUE(incremental.stamps.empty());
-      }
-    }
-
-    if (check_adaptive_) {
-      const LookaheadResult& capped = capped_cache_.tick(
-          *workflow_, snapshot, *estimator_, online_, config_, &run_state_);
-      std::uint32_t capped_planned = 0;
-      const sim::PoolCommand capped_cmd =
-          steer(capped, snapshot, config_, &capped_planned, false);
-      SCOPED_TRACE("adaptive horizon at t=" + std::to_string(snapshot.now));
-      EXPECT_EQ(capped_cmd.grow, cmd.grow);
-      EXPECT_EQ(capped_cmd.cancel_drains, cmd.cancel_drains);
-      EXPECT_EQ(capped_cmd.releases.size(), cmd.releases.size());
-      for (std::size_t i = 0;
-           i < std::min(cmd.releases.size(), capped_cmd.releases.size());
-           ++i) {
-        EXPECT_EQ(capped_cmd.releases[i].instance, cmd.releases[i].instance);
-        EXPECT_EQ(capped_cmd.releases[i].at_charge_boundary,
-                  cmd.releases[i].at_charge_boundary);
-      }
-      if (capped.truncated_tasks == 0) {
-        // Cap idle: the projection itself must be untouched.
-        expect_lookahead_eq(capped, reference);
-      }
-    }
-    return cmd;
-  }
-
-  const LookaheadCacheStats& cache_stats() const { return cache_.stats(); }
-  const LookaheadCacheStats& capped_stats() const {
-    return capped_cache_.stats();
-  }
-  std::uint64_t stamped_ticks() const { return stamped_ticks_; }
-
- private:
-  bool use_oracle_;
-  predict::PredictorConfig predictor_config_;
-  bool check_adaptive_;
-  const dag::Workflow* workflow_ = nullptr;
-  CloudConfig config_;
-  std::unique_ptr<predict::Estimator> estimator_;
-  predict::TaskPredictor* online_ = nullptr;
-  RunState run_state_;
-  IncrementalLookahead cache_;
-  IncrementalLookahead capped_cache_;
-  std::uint64_t stamped_ticks_ = 0;
-};
-
 /// The chaos suite's fault scenarios (mirrors test_sim_faults.cpp).
 enum class Scenario {
   kHostileMix,
@@ -441,8 +223,25 @@ CloudConfig scenario_config(Scenario s) {
   return config;
 }
 
+/// The lookahead suite's per-tick extras: the output invariants, and the
+/// adaptive horizon cap's contract — a capped projection of the same tick
+/// steers identically, and an idle cap leaves the projection untouched.
+void check_invariants_and_cap(const test_support::CheckedTick& tick) {
+  expect_lookahead_invariants(tick.snapshot, tick.reference, tick.config);
+  const LookaheadResult capped = simulate_interval(
+      tick.workflow, tick.snapshot, tick.controller.estimator(), tick.config,
+      /*state=*/nullptr, /*scratch=*/nullptr,
+      tick.controller.memory_predictor(), /*adaptive_horizon=*/true);
+  SCOPED_TRACE("adaptive horizon at t=" + std::to_string(tick.snapshot.now));
+  test_support::expect_steering_eq(
+      steer(capped, tick.snapshot, tick.config), tick.command);
+  if (capped.truncated_tasks == 0) {
+    test_support::expect_lookahead_eq(capped, tick.reference);
+  }
+}
+
 void run_differential(Scenario scenario, std::uint64_t seed,
-                      DifferentialWirePolicy& policy) {
+                      test_support::ProjectionCheckedController& policy) {
   const dag::Workflow wf =
       workload::random_layered(workload::RandomDagOptions{}, seed);
   sim::RunOptions options;
@@ -458,11 +257,12 @@ void run_differential(Scenario scenario, std::uint64_t seed,
     engine.step();
     ++steps;
   }
+  EXPECT_GT(policy.ticks(), 0u);
 }
 
 class LookaheadDifferential : public ::testing::TestWithParam<int> {};
 
-TEST_P(LookaheadDifferential, CacheMatchesReferenceAtEveryTickUnderChaos) {
+TEST_P(LookaheadDifferential, ControllerMatchesFreshProjectionUnderChaos) {
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
   for (Scenario scenario :
        {Scenario::kHostileMix, Scenario::kDropoutAlways,
@@ -470,113 +270,13 @@ TEST_P(LookaheadDifferential, CacheMatchesReferenceAtEveryTickUnderChaos) {
         Scenario::kReliable}) {
     SCOPED_TRACE(std::string("scenario ") + scenario_name(scenario) +
                  " seed " + std::to_string(seed));
-    DifferentialWirePolicy policy;
+    test_support::ProjectionCheckedController policy(
+        WireOptions{}, check_invariants_and_cap);
     run_differential(scenario, seed, policy);
-    const LookaheadCacheStats& stats = policy.cache_stats();
-    EXPECT_GT(stats.ticks, 0u);
-    // (The random chaos DAGs are too short-lived to guarantee a quiet tick;
-    // SteadyStateExercisesTheIncrementalPath below pins the fast path on a
-    // long steady-state run.)
-    if (scenario == Scenario::kDropoutAlways) {
-      EXPECT_EQ(
-          stats.by_path[static_cast<std::size_t>(AnalyzePath::kIncremental)],
-          0u)
-          << "non-exact deltas must never classify as incremental";
-    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LookaheadDifferential, ::testing::Range(0, 3));
-
-TEST(LookaheadDifferential, SteadyStateExercisesTheIncrementalPath) {
-  // A quiet cloud must actually exercise the memoized fast path — the
-  // per-tick equality assertions would be vacuous if every tick fell back.
-  // Long identical stages on a saturated pool give many consecutive ticks
-  // with no completions, no pool lifecycle changes, and no refits.
-  const dag::Workflow wf = workload::linear_workflow(4, 40, 300.0);
-  DifferentialWirePolicy policy;
-  sim::RunOptions options;
-  options.seed = 3;
-  options.initial_instances = 1;
-  sim::JobEngine engine(wf, policy, scenario_config(Scenario::kReliable),
-                        options);
-  engine.start();
-  std::uint64_t steps = 0;
-  while (!engine.done()) {
-    ASSERT_LT(steps, 400000u) << "steady-state run failed to converge";
-    engine.step();
-    ++steps;
-  }
-  const LookaheadCacheStats& stats = policy.cache_stats();
-  EXPECT_GT(stats.by_path[static_cast<std::size_t>(AnalyzePath::kIncremental)],
-            0u)
-      << "steady-state run never hit the incremental path";
-  EXPECT_GT(stats.memo_hits, 0u);
-  EXPECT_GT(stats.matched_completions, 0u);
-  // The Plan stamp rides every incremental tick — the stamped-steering
-  // assertions above would be vacuous if no tick ever stamped.
-  EXPECT_EQ(stats.stamped_plan_ticks,
-            stats.by_path[static_cast<std::size_t>(AnalyzePath::kIncremental)]);
-  EXPECT_GT(policy.stamped_ticks(), 0u)
-      << "steady-state run never exercised stamped steering";
-}
-
-TEST(LookaheadDifferential, UnprojectedCompletionFallsBackAsMisprediction) {
-  // An exact delta that completes a task the previous projection did not
-  // stamp complete (the actual beat the conservative estimate) must classify
-  // kMisprediction, be counted, and still equal the from-scratch reference.
-  const dag::Workflow wf = workload::linear_workflow(2, 2, 300.0);
-  predict::TaskPredictor predictor(wf);
-  const CloudConfig config = scenario_config(Scenario::kReliable);
-  MonitorSnapshot snap;
-  snap.tasks.assign(wf.task_count(), sim::TaskObservation{});
-  for (const dag::TaskSpec& t : wf.tasks()) {
-    snap.tasks[t.id].input_mb = t.input_mb;
-  }
-  // Tick 1: task 0 done in 300 s, task 1 ten seconds into its run — the
-  // projection expects it to hold its slot well past the 30 s horizon.
-  snap.now = 300.0;
-  snap.incomplete_tasks = static_cast<std::uint32_t>(wf.task_count()) - 1;
-  snap.tasks[0].phase = TaskPhase::Completed;
-  snap.tasks[0].exec_time = 300.0;
-  snap.tasks[1].phase = TaskPhase::Running;
-  snap.tasks[1].instance = 0;
-  snap.tasks[1].occupancy_start = 290.0;
-  snap.tasks[1].elapsed = 10.0;
-  sim::InstanceObservation inst;
-  inst.id = 0;
-  inst.time_to_next_charge = 100.0;
-  inst.free_slots = 1;
-  inst.running_tasks = {1};
-  snap.instances = {inst};
-
-  IncrementalLookahead cache;
-  cache.reset(wf);
-  predictor.observe(snap);
-  (void)cache.tick(wf, snap, predictor, &predictor, config, nullptr);
-  ASSERT_EQ(cache.last_path(), AnalyzePath::kFirstTick);
-
-  // Tick 2: an exact delta in which task 1 has already completed.
-  snap.now = 330.0;
-  --snap.incomplete_tasks;
-  snap.tasks[1].phase = TaskPhase::Completed;
-  snap.tasks[1].exec_time = 40.0;
-  snap.instances[0].free_slots = 2;
-  snap.instances[0].running_tasks.clear();
-  snap.instances[0].time_to_next_charge = 70.0;
-  snap.delta.exact = true;
-  snap.delta.completed = {1};
-  snap.delta.phase_changed = {1};
-  predictor.observe(snap);
-  const LookaheadResult& result =
-      cache.tick(wf, snap, predictor, &predictor, config, nullptr);
-  EXPECT_EQ(cache.last_path(), AnalyzePath::kMisprediction);
-  EXPECT_EQ(cache.stats().mispredicted_completions, 1u);
-  EXPECT_EQ(cache.stats().matched_completions, 0u);
-  EXPECT_FALSE(result.plan_valid);
-  expect_lookahead_eq(result,
-                      simulate_interval(wf, snap, predictor, config));
-}
 
 TEST(LookaheadDifferential, EnvironmentSeedRuns) {
   const char* env = std::getenv("WIRE_FUZZ_SEED");
@@ -585,32 +285,36 @@ TEST(LookaheadDifferential, EnvironmentSeedRuns) {
   SCOPED_TRACE("WIRE_FUZZ_SEED=" + std::to_string(seed));
   std::printf("running lookahead differential with WIRE_FUZZ_SEED=%llu\n",
               static_cast<unsigned long long>(seed));
-  DifferentialWirePolicy policy;
+  test_support::ProjectionCheckedController policy(WireOptions{},
+                                                   check_invariants_and_cap);
   run_differential(Scenario::kHostileMix, seed, policy);
 }
 
 TEST(LookaheadProperties, InvariantsHoldAcrossPredictorsAndDags) {
   // Seeded sweep over random DAGs × predictor variants. The per-tick
-  // invariant checks live inside DifferentialWirePolicy::plan, so driving a
-  // run to completion sweeps them over every reachable wavefront shape.
+  // invariant checks run inside the checked controller, so driving a run to
+  // completion sweeps them over every reachable wavefront shape.
   struct Variant {
     const char* label;
-    bool oracle;
-    predict::PredictorConfig config;
+    WireOptions options;
   };
   std::vector<Variant> variants;
-  variants.push_back({"online-median", false, {}});
+  variants.push_back({"online-median", {}});
   {
-    predict::PredictorConfig mean;
-    mean.use_mean = true;
-    variants.push_back({"online-mean", false, mean});
+    WireOptions mean;
+    mean.predictor.use_mean = true;
+    variants.push_back({"online-mean", mean});
   }
   {
-    predict::PredictorConfig no_ogd;
-    no_ogd.disable_ogd = true;
-    variants.push_back({"online-no-ogd", false, no_ogd});
+    WireOptions no_ogd;
+    no_ogd.predictor.disable_ogd = true;
+    variants.push_back({"online-no-ogd", no_ogd});
   }
-  variants.push_back({"oracle", true, {}});
+  {
+    WireOptions oracle;
+    oracle.oracle_estimator = true;
+    variants.push_back({"oracle", oracle});
+  }
 
   for (const Variant& v : variants) {
     for (std::uint64_t seed : {11u, 12u}) {
@@ -619,7 +323,8 @@ TEST(LookaheadProperties, InvariantsHoldAcrossPredictorsAndDags) {
         SCOPED_TRACE(std::string("predictor ") + v.label + " seed " +
                      std::to_string(seed) + " scenario " +
                      scenario_name(scenario));
-        DifferentialWirePolicy policy(v.oracle, v.config);
+        test_support::ProjectionCheckedController policy(
+            v.options, check_invariants_and_cap);
         run_differential(scenario, seed, policy);
       }
     }
@@ -627,14 +332,13 @@ TEST(LookaheadProperties, InvariantsHoldAcrossPredictorsAndDags) {
 }
 
 TEST(LookaheadProperties, ReplayedSnapshotIsIdempotent) {
-  // Benches replay the same snapshot into plan(); the cache must return the
-  // identical projection every time (its classification may differ — a
-  // replayed completion set looks like a misprediction — but outputs must
-  // not).
+  // Benches replay the same snapshot into plan(); a projection that borrows
+  // the RunState's counters must leave them exactly as found, so replaying
+  // the tick into the same reused result and scratch reproduces it.
   const dag::Workflow wf = workload::linear_workflow(2, 4, 60.0);
   predict::TaskPredictor predictor(wf);
   RunState run_state;
-  CloudConfig config = scenario_config(Scenario::kReliable);
+  const CloudConfig config = scenario_config(Scenario::kReliable);
 
   MonitorSnapshot snap;
   snap.now = 300.0;
@@ -668,21 +372,22 @@ TEST(LookaheadProperties, ReplayedSnapshotIsIdempotent) {
 
   predictor.observe(snap);
   run_state.update(wf, snap);
+  const std::vector<std::uint32_t> preds = run_state.remaining_preds();
 
-  IncrementalLookahead cache;
-  cache.reset(wf);
   const LookaheadResult reference =
-      simulate_interval(wf, snap, predictor, config, &run_state);
-  const LookaheadResult first =
-      cache.tick(wf, snap, predictor, &predictor, config, &run_state);
-  expect_lookahead_eq(first, reference);
-  const LookaheadResult& second =
-      cache.tick(wf, snap, predictor, &predictor, config, &run_state);
-  expect_lookahead_eq(second, reference);
-  // Borrowed predecessor counters must be restored exactly.
-  const LookaheadResult again =
-      simulate_interval(wf, snap, predictor, config, &run_state);
-  expect_lookahead_eq(again, reference);
+      simulate_interval(wf, snap, predictor, config);
+  ASSERT_GT(reference.projected_completions, 0u)
+      << "the fixture must fire successors, or the borrow is never exercised";
+  PlanScratch scratch;
+  LookaheadResult reused;
+  for (int replay = 0; replay < 2; ++replay) {
+    SCOPED_TRACE("replay " + std::to_string(replay));
+    simulate_interval(wf, snap, predictor, config, reused, &run_state,
+                      &scratch);
+    test_support::expect_lookahead_eq(reused, reference);
+    EXPECT_EQ(run_state.remaining_preds(), preds)
+        << "borrowed predecessor counters were not restored";
+  }
 }
 
 TEST(LookaheadDedupe, RequeuedDrainingTaskAlreadyInReadyQueueProjectsOnce) {
@@ -771,36 +476,18 @@ TEST(LookaheadAdaptiveHorizon, CapEngagesAndPreservesTheRunByteForByte) {
   const sim::RunResult base = sim::simulate(wf, plain, config, options);
 
   WireOptions capped_options;
-  capped_options.lookahead_cache.adaptive_horizon = true;
-  WireController capped(capped_options);
+  capped_options.adaptive_horizon = true;
+  test_support::ProjectionCheckedController capped(capped_options);
   const sim::RunResult capped_result =
       sim::simulate(wf, capped, config, options);
 
-  EXPECT_GT(capped.lookahead_stats().capped_ticks, 0u)
+  EXPECT_GT(capped.capped_ticks(), 0u)
       << "overload scenario never engaged the cap";
-  EXPECT_GT(capped.lookahead_stats().truncated_tasks, 0u);
+  EXPECT_GT(capped.truncated_tasks(), 0u);
   EXPECT_EQ(capped_result.makespan, base.makespan);
   EXPECT_EQ(capped_result.cost_units, base.cost_units);
   EXPECT_EQ(capped_result.control_ticks, base.control_ticks);
   EXPECT_EQ(capped_result.task_restarts, base.task_restarts);
-}
-
-TEST(LookaheadCacheStatsTest, DisabledCacheClassifiesEveryTickDisabled) {
-  const dag::Workflow wf = workload::linear_workflow(2, 6, 30.0);
-  WireOptions options;
-  options.lookahead_cache.enabled = false;
-  WireController controller(options);
-  CloudConfig config = scenario_config(Scenario::kReliable);
-  sim::RunOptions run_options;
-  run_options.seed = 5;
-  run_options.initial_instances = 1;
-  const sim::RunResult r = sim::simulate(wf, controller, config, run_options);
-  EXPECT_GT(r.control_ticks, 0u);
-  const LookaheadCacheStats& stats = controller.lookahead_stats();
-  EXPECT_EQ(stats.ticks, static_cast<std::uint64_t>(r.control_ticks));
-  EXPECT_EQ(stats.by_path[static_cast<std::size_t>(AnalyzePath::kDisabled)],
-            stats.ticks);
-  EXPECT_EQ(stats.memo_hits + stats.memo_misses, 0u);
 }
 
 }  // namespace

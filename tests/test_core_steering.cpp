@@ -213,40 +213,6 @@ TEST(Steer, EqualRestartCostsBreakTiesByInstanceIdDeterministically) {
   }
 }
 
-TEST(Steer, StampedPlanIsConsumedDirectly) {
-  // A plan-stamped lookahead must steer from planned_pool without rebuilding
-  // Q_task — and give the same command the from-scratch path computes from
-  // the identical upcoming load.
-  LookaheadResult from_scratch;
-  for (int i = 0; i < 8; ++i) {
-    from_scratch.upcoming.push_back(
-        UpcomingTask{1800.0, static_cast<dag::TaskId>(i), /*on_slot=*/false});
-  }
-  sim::MonitorSnapshot snap;
-  snap.incomplete_tasks = 8;
-  snap.instances.push_back(instance(0, 500.0));
-  std::uint32_t planned_scratch = 0;
-  const sim::PoolCommand ref =
-      steer(from_scratch, snap, test_config(), &planned_scratch);
-
-  LookaheadResult stamped = from_scratch;
-  stamped.plan_valid = true;
-  stamped.planned_pool = planned_scratch;
-  std::uint32_t planned_stamped = 0;
-  const sim::PoolCommand got =
-      steer(stamped, snap, test_config(), &planned_stamped);
-  EXPECT_EQ(planned_stamped, planned_scratch);
-  EXPECT_EQ(got.desired_pool, ref.desired_pool);
-  EXPECT_EQ(got.grow, ref.grow);
-  ASSERT_EQ(got.releases.size(), ref.releases.size());
-
-  // A deliberately wrong stamp is consumed verbatim — proof steering did not
-  // silently fall back to the rebuild path.
-  stamped.planned_pool = planned_scratch + 3;
-  const sim::PoolCommand inflated = steer(stamped, snap, test_config());
-  EXPECT_EQ(inflated.desired_pool, planned_scratch + 3);
-}
-
 TEST(Steer, DrainingAndProvisioningAreNotVictims) {
   LookaheadResult lookahead;
   lookahead.upcoming.push_back(UpcomingTask{10.0, 0});  // p = 1

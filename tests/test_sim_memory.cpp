@@ -9,11 +9,12 @@
 //      both dispatchers pick the first ascending-id instance with a free
 //      slot and the true-peak draws come from a private RNG stream.
 //
-//   2. Memory ON keeps the incremental Analyze/Plan contract: at EVERY
-//      control tick, under fault chaos and memory pressure alike, the
-//      IncrementalLookahead's projection — including the new per-entry
-//      reservation — equals the memory-aware from-scratch simulate_interval
-//      bitwise, and the steering command derived from either is identical.
+//   2. Memory ON keeps the controller's projection exact: at EVERY control
+//      tick, under fault chaos and memory pressure alike, the controller's
+//      projection (RunState borrowed, result and scratch reused) — including
+//      the per-entry reservation — equals a fresh self-seeded memory-aware
+//      simulate_interval bitwise, and the steering command derived from
+//      either is identical (projection_check.h).
 //
 // Every randomized test announces its seed via SCOPED_TRACE, and
 // WIRE_FUZZ_SEED adds one environment-chosen chaos seed (DESIGN.md §4.10).
@@ -29,12 +30,12 @@
 
 #include "core/controller.h"
 #include "core/lookahead.h"
-#include "core/lookahead_cache.h"
 #include "core/run_state.h"
 #include "core/steering.h"
 #include "exp/settings.h"
 #include "predict/memory_predictor.h"
 #include "predict/task_predictor.h"
+#include "projection_check.h"
 #include "sim/driver.h"
 #include "sim/engine.h"
 #include "sim/memory.h"
@@ -44,7 +45,6 @@
 namespace wire {
 namespace {
 
-using core::IncrementalLookahead;
 using core::LookaheadResult;
 using core::UpcomingTask;
 using dag::TaskId;
@@ -151,7 +151,7 @@ TEST(MemorySizing, SizerColdStartIsFairShareAndHistoryIsOrderInsensitive) {
 // The controller-side MemoryPredictor mirrors the engine-side sizer.
 // ---------------------------------------------------------------------------
 
-TEST(MemoryPredictorTest, MirrorsEngineSizerAndTracksRevisions) {
+TEST(MemoryPredictorTest, MirrorsEngineSizerAndHarvestsOnce) {
   const dag::Workflow wf = workload::linear_workflow(2, 2, 60.0);
   MemoryConfig config = tight_config(2048.0);
   config.sizing = MemoryConfig::Sizing::Percentile;
@@ -163,7 +163,7 @@ TEST(MemoryPredictorTest, MirrorsEngineSizerAndTracksRevisions) {
   snap.incomplete_tasks = static_cast<std::uint32_t>(wf.task_count());
 
   const dag::StageId stage0 = wf.task(0).stage;
-  const std::uint64_t rev0 = predictor.stage_revision(stage0);
+  EXPECT_EQ(predictor.total_refits(), 0u);
   EXPECT_EQ(predictor.stage_samples(stage0), 0u);
 
   // Cold start: every prediction is the sized-and-clamped fair share, and it
@@ -172,8 +172,8 @@ TEST(MemoryPredictorTest, MirrorsEngineSizerAndTracksRevisions) {
   EXPECT_EQ(predictor.predict_reservation(0, snap),
             sizer.reservation_mb(stage0, wf.task(0).ref_peak_mem_mb, 0));
 
-  // One completion reveals its peak; the harvest bumps the stage revision
-  // exactly once and is idempotent on a replayed snapshot.
+  // One completion reveals its peak; the harvest refits the stage exactly
+  // once and is idempotent on a replayed snapshot.
   snap.tasks[0].phase = TaskPhase::Completed;
   snap.tasks[0].exec_time = 60.0;
   snap.tasks[0].peak_mem_mb = 612.0;
@@ -181,13 +181,10 @@ TEST(MemoryPredictorTest, MirrorsEngineSizerAndTracksRevisions) {
   predictor.observe(snap);
   sizer.observe_peak(stage0, 612.0);
   EXPECT_EQ(predictor.stage_samples(stage0), 1u);
-  EXPECT_GT(predictor.stage_revision(stage0), rev0);
-  const std::uint64_t rev_after = predictor.stage_revision(stage0);
-  const std::uint64_t global_after = predictor.revision();
+  EXPECT_EQ(predictor.total_refits(), 1u);
   predictor.observe(snap);  // replay: nothing new to ingest
   EXPECT_EQ(predictor.stage_samples(stage0), 1u);
-  EXPECT_EQ(predictor.stage_revision(stage0), rev_after);
-  EXPECT_EQ(predictor.revision(), global_after);
+  EXPECT_EQ(predictor.total_refits(), 1u);
 
   // The peer of the completed task now sizes from the one-sample history —
   // bitwise what the engine's sizer computes — including under upsizing.
@@ -211,31 +208,9 @@ TEST(MemoryPredictorTest, MirrorsEngineSizerAndTracksRevisions) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential chaos suite: memory-aware incremental == from-scratch
-// memory-aware reference, bitwise, at every control tick.
+// Differential chaos suite: the controller's memory-aware projection == a
+// fresh memory-aware reference, bitwise, at every control tick.
 // ---------------------------------------------------------------------------
-
-void expect_lookahead_mem_eq(const LookaheadResult& got,
-                             const LookaheadResult& want) {
-  ASSERT_EQ(got.upcoming.size(), want.upcoming.size());
-  for (std::size_t i = 0; i < got.upcoming.size(); ++i) {
-    SCOPED_TRACE("upcoming entry " + std::to_string(i));
-    EXPECT_EQ(got.upcoming[i].task, want.upcoming[i].task);
-    // Bitwise double equality throughout — ulp drift on either the time or
-    // the memory axis is exactly the bug class this suite exists to catch.
-    EXPECT_EQ(got.upcoming[i].remaining_occupancy,
-              want.upcoming[i].remaining_occupancy);
-    EXPECT_EQ(got.upcoming[i].on_slot, want.upcoming[i].on_slot);
-    EXPECT_EQ(got.upcoming[i].mem_mb, want.upcoming[i].mem_mb);
-  }
-  EXPECT_EQ(got.projected_completions, want.projected_completions);
-  ASSERT_EQ(got.restart_cost.size(), want.restart_cost.size());
-  for (const auto& [inst, cost] : want.restart_cost) {
-    const auto it = got.restart_cost.find(inst);
-    ASSERT_NE(it, got.restart_cost.end()) << "missing instance " << inst;
-    EXPECT_EQ(it->second, cost) << "restart cost drift on instance " << inst;
-  }
-}
 
 void expect_memory_invariants(const MonitorSnapshot& snap,
                               const LookaheadResult& result,
@@ -263,95 +238,15 @@ void expect_memory_invariants(const MonitorSnapshot& snap,
   }
 }
 
-void expect_pool_command_eq(const sim::PoolCommand& got,
-                            const sim::PoolCommand& want) {
-  EXPECT_EQ(got.desired_pool, want.desired_pool);
-  EXPECT_EQ(got.grow, want.grow);
-  EXPECT_EQ(got.cancel_drains, want.cancel_drains);
-  ASSERT_EQ(got.releases.size(), want.releases.size());
-  for (std::size_t i = 0; i < got.releases.size(); ++i) {
-    EXPECT_EQ(got.releases[i].instance, want.releases[i].instance);
-    EXPECT_EQ(got.releases[i].at_charge_boundary,
-              want.releases[i].at_charge_boundary);
-  }
+/// The memory suite's per-tick extra: reservation invariants on the
+/// projection the controller steered from.
+void check_memory_invariants(const test_support::CheckedTick& tick) {
+  WIRE_REQUIRE(tick.config.memory.enabled(),
+               "the memory differential needs the memory dimension on");
+  expect_memory_invariants(tick.snapshot, tick.reference, tick.config);
 }
 
-/// The WIRE MAPE loop with the memory dimension on and both Analyze paths
-/// run side by side: one shared MemoryPredictor feeds the incremental cache
-/// and the from-scratch reference (exactly how WireController wires it), and
-/// every tick's projection and steering command are compared bitwise.
-class DifferentialMemoryPolicy final : public sim::ScalingPolicy {
- public:
-  std::string name() const override { return "wire-memory-differential"; }
-
-  void on_run_start(const dag::Workflow& workflow,
-                    const CloudConfig& config) override {
-    workflow_ = &workflow;
-    config_ = config;
-    WIRE_REQUIRE(config.memory.enabled(),
-                 "the memory differential needs the memory dimension on");
-    auto online =
-        std::make_unique<predict::TaskPredictor>(workflow,
-                                                 predict::PredictorConfig{});
-    online_ = online.get();
-    estimator_ = std::move(online);
-    memory_ = std::make_unique<predict::MemoryPredictor>(
-        workflow, config.memory, config.slots_per_instance);
-    run_state_.reset();
-    cache_ = IncrementalLookahead(core::LookaheadCacheOptions{});
-    cache_.reset(workflow);
-  }
-
-  sim::PoolCommand plan(const MonitorSnapshot& snapshot) override {
-    estimator_->observe(snapshot);
-    memory_->observe(snapshot);
-    run_state_.update(*workflow_, snapshot);
-
-    const LookaheadResult reference =
-        simulate_interval(*workflow_, snapshot, *estimator_, config_,
-                          &run_state_, nullptr, memory_.get());
-    const LookaheadResult& incremental =
-        cache_.tick(*workflow_, snapshot, *estimator_, online_, config_,
-                    &run_state_, memory_.get());
-    {
-      SCOPED_TRACE("tick at t=" + std::to_string(snapshot.now) + " (path " +
-                   std::string(analyze_path_label(cache_.last_path())) + ")");
-      expect_lookahead_mem_eq(incremental, reference);
-      expect_memory_invariants(snapshot, incremental, config_);
-    }
-
-    // Plan differential: steering consumes the per-entry reservations (the
-    // memory-aware Algorithm 3); the command from the cache's result must
-    // equal the command rebuilt from the unstamped reference.
-    std::uint32_t planned = 0;
-    sim::PoolCommand cmd =
-        steer(incremental, snapshot, config_, &planned, false);
-    {
-      SCOPED_TRACE("plan differential at t=" + std::to_string(snapshot.now));
-      std::uint32_t ref_planned = 0;
-      const sim::PoolCommand ref_cmd =
-          steer(reference, snapshot, config_, &ref_planned, false);
-      EXPECT_EQ(planned, ref_planned);
-      expect_pool_command_eq(cmd, ref_cmd);
-    }
-    return cmd;
-  }
-
-  const core::LookaheadCacheStats& cache_stats() const {
-    return cache_.stats();
-  }
-
- private:
-  const dag::Workflow* workflow_ = nullptr;
-  CloudConfig config_;
-  std::unique_ptr<predict::Estimator> estimator_;
-  predict::TaskPredictor* online_ = nullptr;
-  std::unique_ptr<predict::MemoryPredictor> memory_;
-  core::RunState run_state_;
-  IncrementalLookahead cache_;
-};
-
-/// Fault chaos (mirrors the incremental suite's scenarios).
+/// Fault chaos (mirrors the lookahead suite's scenarios).
 enum class Faults { kHostileMix, kDropoutAlways, kReliable };
 
 const char* faults_name(Faults f) {
@@ -410,7 +305,7 @@ CloudConfig memory_chaos_config(Faults faults, Pressure pressure) {
 
 void run_memory_differential(Faults faults, Pressure pressure,
                              std::uint64_t seed,
-                             DifferentialMemoryPolicy& policy) {
+                             test_support::ProjectionCheckedController& policy) {
   workload::RandomDagOptions dag_options;
   dag_options.mean_peak_mem_mb = 600.0;
   const dag::Workflow wf = workload::random_layered(dag_options, seed);
@@ -432,7 +327,7 @@ void run_memory_differential(Faults faults, Pressure pressure,
 
 class MemoryDifferential : public ::testing::TestWithParam<int> {};
 
-TEST_P(MemoryDifferential, CacheMatchesMemoryAwareReferenceAtEveryTick) {
+TEST_P(MemoryDifferential, ControllerMatchesMemoryAwareReferenceAtEveryTick) {
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
   for (Pressure pressure : {Pressure::kAmple, Pressure::kTight}) {
     for (Faults faults :
@@ -440,9 +335,10 @@ TEST_P(MemoryDifferential, CacheMatchesMemoryAwareReferenceAtEveryTick) {
       SCOPED_TRACE(std::string("faults ") + faults_name(faults) +
                    " pressure " + pressure_name(pressure) + " seed " +
                    std::to_string(seed));
-      DifferentialMemoryPolicy policy;
+      test_support::ProjectionCheckedController policy(
+          core::WireOptions{}, check_memory_invariants);
       run_memory_differential(faults, pressure, seed, policy);
-      EXPECT_GT(policy.cache_stats().ticks, 0u);
+      EXPECT_GT(policy.ticks(), 0u);
     }
   }
 }
@@ -456,7 +352,8 @@ TEST(MemoryDifferential, EnvironmentSeedRuns) {
   SCOPED_TRACE("WIRE_FUZZ_SEED=" + std::to_string(seed));
   std::printf("running memory differential with WIRE_FUZZ_SEED=%llu\n",
               static_cast<unsigned long long>(seed));
-  DifferentialMemoryPolicy policy;
+  test_support::ProjectionCheckedController policy(core::WireOptions{},
+                                                   check_memory_invariants);
   run_memory_differential(Faults::kHostileMix, Pressure::kTight, seed,
                           policy);
 }

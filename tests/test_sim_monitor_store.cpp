@@ -107,7 +107,6 @@ class ChaosProbePolicy final : public ScalingPolicy {
   std::uint32_t ticks() const { return ticks_; }
   std::uint32_t immediate_releases() const { return immediate_releases_; }
   std::uint32_t drains() const { return drains_; }
-  std::uint64_t predictor_refits() const { return predictor_refits_; }
   const predict::TaskPredictor& predictor() const { return *predictor_; }
 
   std::string name() const override { return "chaos-probe"; }
@@ -116,7 +115,6 @@ class ChaosProbePolicy final : public ScalingPolicy {
                     const CloudConfig& /*config*/) override {
     workflow_ = &workflow;
     predictor_ = std::make_unique<predict::TaskPredictor>(workflow);
-    predictor_refits_ = 0;
     // Baseline for the first delta: the engine's bootstrap state (roots
     // fired at t = 0, nothing dispatched, no instances journaled yet).
     prev_phase_.assign(workflow.task_count(), TaskPhase::Pending);
@@ -146,15 +144,20 @@ class ChaosProbePolicy final : public ScalingPolicy {
   /// Refit batching under restart churn: however bursty the tick's delta
   /// (the chaos commands restart whole instances, so one interval can
   /// complete many same-stage tasks at once), a harvest refits each touched
-  /// stage once and bumps the estimator revision at most once.
+  /// stage once.
   void verify_predictor_batching(const MonitorSnapshot& snapshot) {
-    const std::uint64_t before = predictor_->revision();
+    const std::uint64_t before = predictor_->total_refits();
+    std::vector<std::size_t> epochs_before(workflow_->stage_count());
+    for (dag::StageId s = 0; s < workflow_->stage_count(); ++s) {
+      epochs_before[s] = predictor_->stage_model(s).epochs();
+    }
     predictor_->observe(snapshot);
-    EXPECT_LE(predictor_->revision(), before + 1)
-        << "bursty delta bumped the estimator revision more than once";
-    predictor_refits_ += predictor_->last_refit_stages();
-    EXPECT_LE(predictor_->last_refit_stages(), workflow_->stage_count())
+    EXPECT_LE(predictor_->total_refits() - before, workflow_->stage_count())
         << "one observe refit a stage twice";
+    for (dag::StageId s = 0; s < workflow_->stage_count(); ++s) {
+      EXPECT_LE(predictor_->stage_model(s).epochs(), epochs_before[s] + 1)
+          << "one observe ran two Algorithm-1 epochs on stage " << s;
+    }
   }
 
   /// The journal must be exact, sorted, deduplicated, and derivable from the
@@ -218,9 +221,8 @@ class ChaosProbePolicy final : public ScalingPolicy {
     // snapshot — exactly the ids whose membership or lifecycle fields
     // (provisioning, draining, revoking, ready_at, revoke_at) moved, in
     // ascending order. Rows that only changed load state (free_slots,
-    // running_tasks, time_to_next_charge) must NOT be listed: the
-    // incremental lookahead relies on a quiet list meaning "the pool shape
-    // the previous projection assumed still stands".
+    // running_tasks, time_to_next_charge) must NOT be listed: a quiet list
+    // means "the pool shape of the previous snapshot still stands".
     auto lifecycle_of = [](const InstanceObservation& inst) {
       return std::make_tuple(inst.provisioning, inst.draining, inst.revoking,
                              inst.ready_at, inst.revoke_at);
@@ -329,7 +331,6 @@ class ChaosProbePolicy final : public ScalingPolicy {
   const JobEngine* engine_ = nullptr;
   const dag::Workflow* workflow_ = nullptr;
   std::unique_ptr<predict::TaskPredictor> predictor_;
-  std::uint64_t predictor_refits_ = 0;
   bool benign_ = false;
   std::uint32_t ticks_ = 0;
   std::uint32_t immediate_releases_ = 0;
@@ -391,18 +392,15 @@ TEST_P(MonitorStoreFuzz, StoreMatchesRebuildUnderChaos) {
   // Refit accounting: restart churn completes tasks in bursts, yet the total
   // refit count stays bounded by ticks x stages (one per touched stage per
   // harvest), never by the completion count.
-  EXPECT_LE(policy.predictor_refits(),
+  EXPECT_LE(policy.predictor().total_refits(),
             static_cast<std::uint64_t>(policy.ticks()) * wf.stage_count());
-  for (dag::StageId s = 0; s < wf.stage_count(); ++s) {
-    EXPECT_LE(policy.predictor().stage_revision(s), policy.ticks());
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MonitorStoreFuzz, ::testing::Range(0, 10));
 
 // MemoryPredictor refit batching: one bursty exact delta completing many
-// same-stage tasks is ONE stage refit (revision bump), not one per task, and
-// replaying the same snapshot refits nothing (harvest idempotence).
+// same-stage tasks is ONE stage refit, not one per task, and replaying the
+// same snapshot refits nothing (harvest idempotence).
 TEST(MonitorStore, BurstyDeltaBatchesMemoryRefits) {
   const dag::Workflow wf = workload::linear_workflow(/*stages=*/2,
                                                      /*width=*/4, 10.0);
@@ -422,18 +420,16 @@ TEST(MonitorStore, BurstyDeltaBatchesMemoryRefits) {
     snap.delta.completed.push_back(t);
   }
   predictor.observe(snap);
-  EXPECT_EQ(predictor.stage_revision(0), 1u);
   EXPECT_EQ(predictor.stage_samples(0), 4u);
   EXPECT_EQ(predictor.total_refits(), 1u);
-  EXPECT_EQ(predictor.revision(), 1u);
 
   // Replay: nothing new, nothing refit.
   predictor.observe(snap);
-  EXPECT_EQ(predictor.stage_revision(0), 1u);
+  EXPECT_EQ(predictor.stage_samples(0), 4u);
   EXPECT_EQ(predictor.total_refits(), 1u);
-  EXPECT_EQ(predictor.revision(), 1u);
 
-  // A second burst touching BOTH stages refits each stage once.
+  // A second burst, completing the stage-1 tasks, refits stage 1 once and
+  // leaves stage 0 alone.
   MonitorSnapshot snap2 = snap;
   snap2.now = 200.0;
   snap2.delta.completed.clear();
@@ -444,11 +440,9 @@ TEST(MonitorStore, BurstyDeltaBatchesMemoryRefits) {
     snap2.delta.completed.push_back(t);
   }
   predictor.observe(snap2);
-  EXPECT_EQ(predictor.stage_revision(0), 1u);
-  EXPECT_EQ(predictor.stage_revision(1), 1u);
+  EXPECT_EQ(predictor.stage_samples(0), 4u);
   EXPECT_EQ(predictor.stage_samples(1), 4u);
   EXPECT_EQ(predictor.total_refits(), 2u);
-  EXPECT_EQ(predictor.revision(), 2u);
 }
 
 // Restart-heavy determinism: peeking the monitor after every event (which
